@@ -85,20 +85,21 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("tol", "cert_tol", "accept_tol", "flat_tol"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+        for name in ("tol", "cert_tol", "accept_tol", "flat_tol", "t_max", "grid_step"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be finite and positive")
         if self.max_den < 1:
             raise InputError("max_den must be at least 1")
 
 
 def _read_input(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    path = Path(source)
-    if not path.exists():
-        raise InputError(f"input file not found: {source}")
-    return path.read_text()
+    """Text of a file, or of stdin for '-'; unreadable input is an InputError."""
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        return Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {source}: {exc}") from None
 
 
 def _sniff_format(text: str, oriented: bool) -> str:
@@ -141,7 +142,7 @@ def _load_state(spec: str, n: int, cfg: RunConfig):
             raise InputError(f"vertex {a} out of range 0..{n - 1}")
         return vertex_state(n, a), a
     if spec.startswith("@"):
-        spec = Path(spec[1:]).read_text()
+        spec = _read_input(spec[1:])
     try:
         state = density_from_json(spec, tol=max(cfg.tol, 1e-9))
     except (StateError, json.JSONDecodeError, ValueError) as exc:

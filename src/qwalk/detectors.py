@@ -23,7 +23,12 @@ from .certificates import (
     ratio_condition,
 )
 from .graphs import Graph, OrientedGraph, graph_stats
-from .spectral import SpectralDecomposition, eigenvalue_support_indices, transition_matrix
+from .spectral import (
+    SpectralDecomposition,
+    eigenvalue_support_indices,
+    transition_batch,
+    transition_matrix,
+)
 from .states import (
     BlockDecomposition,
     DensityMatrix,
@@ -32,12 +37,16 @@ from .states import (
     density_matrix,
     evolve,
 )
+from .timescan import scan_minima
 
 DEFAULT_ACCEPT_TOL = 1e-8
 DEFAULT_FLAT_TOL = 1e-9
 DEFAULT_MIXING_GRID = 10**5
 PGST_PAIR_CAP = 20
-_TIME_RESOLUTION = 1e-13
+
+# Byte budget for one slice of a detector's coarse time grid, counted as one
+# n x n complex matrix per time, so that no (grid, n, n) array is ever built.
+_CHUNK_BYTES = 1 << 22
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -250,48 +259,33 @@ class BestTransfer:
     residual: float
 
 
-def _refine_spectral(value_fn, lo: float, hi: float, best_t: float, best_v: float):
-    """Shrink a bracket around a minimum of a spectral-path objective."""
-    while hi - lo > _TIME_RESOLUTION:
-        count = 65
-        step = (hi - lo) / (count - 1)
-        if step <= _TIME_RESOLUTION / 4:
-            break
-        ts = lo + step * np.arange(count)
-        values = value_fn(ts)
-        k = int(values.argmin())
-        if values[k] < best_v:
-            best_v = float(values[k])
-            best_t = float(ts[k])
-        lo = ts[max(k - 1, 0)]
-        hi = ts[min(k + 1, count - 1)]
-    return best_t, best_v
+def _check_t_max(t_max: float) -> None:
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
 
 
-def _scan_spectral(value_fn, t_max: float, steps: int, refine_below: float, slope: float):
-    """Grid scan plus refinement; returns ascending refined minima and floor.
+def _scan_spectral(
+    value_fn, d: SpectralDecomposition, t_max: float, steps: int, refine_below: float, **record
+):
+    """Sample value_fn at steps + 1 times spanning [0, t_max] and refine its minima.
 
-    Only candidates whose grid value could plausibly dip below refine_below
-    within one slope-bounded step get refined, plus the global minimum.
+    The grid is evaluated in slices of at most _CHUNK_BYTES // (16 n^2) times;
+    `record` goes on to `timescan.scan_minima`.  Returns the grid values, the
+    recorded minima and the floor.
     """
+    _check_t_max(t_max)
     ts = np.linspace(0.0, t_max, steps + 1)
-    values = value_fn(ts)
-    step = ts[1] - ts[0]
-    cutoff = max(refine_below, 2.0 * slope * step)
-    interior = (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
-    candidates = [i + 1 for i in np.nonzero(interior)[0]]
-    global_idx = int(values.argmin())
-    if 0 < global_idx < len(ts) - 1 and global_idx not in candidates:
-        candidates.append(global_idx)
-    floor = float(values.min())
-    refined = []
-    for i in sorted(candidates):
-        if values[i] > cutoff and i != global_idx:
-            continue
-        t, v = _refine_spectral(value_fn, ts[i - 1], ts[i + 1], float(ts[i]), float(values[i]))
-        refined.append((t, v))
-        floor = min(floor, v)
-    return refined, floor, step
+    chunk = max(1, _CHUNK_BYTES // (16 * max(d.n, 1) ** 2))
+    values = np.concatenate([value_fn(ts[k : k + chunk]) for k in range(0, len(ts), chunk)])
+    slope = 2.0 * float(np.abs(d.theta).max()) if d.m else 0.0
+    minima, floor = scan_minima(
+        ts,
+        values,
+        lambda lo, step, count: value_fn(lo + step * np.arange(count)),
+        max(refine_below, 2.0 * slope * (ts[1] - ts[0])),
+        **record,
+    )
+    return values, minima, floor
 
 
 def pgst_witness_search(
@@ -307,8 +301,7 @@ def pgst_witness_search(
     Grid scan of ||U(t) P U(-t) - Q|| with local refinement.  The default
     step follows the certified period when one exists, else 1e-2.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    _check_t_max(t_max)
     if step is None:
         step = 1e-2
         if p.real:
@@ -323,22 +316,14 @@ def pgst_witness_search(
     pm, qm = p.matrix, q.matrix
 
     def value_fn(ts):
-        phases = np.exp(1j * np.multiply.outer(ts, d.theta))
-        u = np.einsum("kr,rij->kij", phases, d.idempotents)
+        u = transition_batch(d, ts)
         return np.linalg.norm(u @ pm @ u.conj().transpose(0, 2, 1) - qm, axis=(1, 2))
 
     steps = max(2, int(math.ceil(t_max / step)))
-    slope = 2.0 * float(np.abs(d.theta).max()) if d.m else 0.0
-    refined, floor, _ = _scan_spectral(
-        value_fn, t_max, steps, refine_below=10 * accept_tol, slope=slope
-    )
-    best_t, best_v = 0.0, float(value_fn(np.array([0.0]))[0])
-    for t, v in refined:
-        if v < best_v:
-            best_t, best_v = t, v
-    end_v = float(value_fn(np.array([t_max]))[0])
-    if end_v < best_v:
-        best_t, best_v = t_max, end_v
+    values, refined, floor = _scan_spectral(value_fn, d, t_max, steps, 10 * accept_tol)
+    # the grid starts at t = 0 and ends exactly at t_max; ties go to the earliest
+    ends = [(0.0, float(values[0])), *refined, (t_max, float(values[-1]))]
+    best_t, best_v = min(ends, key=lambda tv: tv[1])
     return BestTransfer(best_t, min(best_v, floor))
 
 
@@ -350,19 +335,20 @@ def _vertex_support(d: SpectralDecomposition, a: int, tol: float = 1e-8) -> Eige
 
 def _mixing_report(
     value_fn,
+    d: SpectralDecomposition,
     t_max: float,
     flat_tol: float,
     grid_points: int,
     extra_warnings: tuple[str, ...],
-    slope: float,
 ) -> DetectionReport:
     steps = max(64, int(grid_points))
-    refined, floor, step = _scan_spectral(
-        value_fn, t_max, steps, refine_below=100 * flat_tol, slope=slope
+    # the scan stops recording at the first flat time, which is the witness
+    _, flat, floor = _scan_spectral(
+        value_fn, d, t_max, steps, 100 * flat_tol, record_below=flat_tol, max_records=1
     )
-    for t, v in sorted(refined):
-        if v <= flat_tol:
-            return DetectionReport("yes", witness_time=t, residual=v, warnings=extra_warnings)
+    if flat:
+        t, v = min(flat)
+        return DetectionReport("yes", witness_time=t, residual=v, warnings=extra_warnings)
     return DetectionReport(
         "no",
         residual=floor,
@@ -410,8 +396,7 @@ def detect_local_uniform_mixing(
         amps = phases @ cols
         return np.abs(np.abs(amps) ** 2 - 1.0 / n).max(axis=1)
 
-    slope = 2.0 * float(np.abs(d.theta).max()) if d.m else 0.0
-    report = _mixing_report(value_fn, t_max, flat_tol, grid_points, tuple(warnings), slope)
+    report = _mixing_report(value_fn, d, t_max, flat_tol, grid_points, tuple(warnings))
     if report.verdict == "yes" and oriented and any("fails" in w for w in warnings):
         report = DetectionReport(
             "inconclusive",
@@ -433,12 +418,10 @@ def detect_uniform_mixing(
     n = d.n
 
     def value_fn(ts):
-        phases = np.exp(1j * np.multiply.outer(ts, d.theta))
-        u = np.einsum("kr,rij->kij", phases, d.idempotents)
+        u = transition_batch(d, ts)
         return np.abs(np.abs(u) ** 2 - 1.0 / n).max(axis=(1, 2))
 
-    slope = 2.0 * float(np.abs(d.theta).max()) if d.m else 0.0
-    return _mixing_report(value_fn, t_max, flat_tol, grid_points, (), slope)
+    return _mixing_report(value_fn, d, t_max, flat_tol, grid_points, ())
 
 
 @dataclass(frozen=True)

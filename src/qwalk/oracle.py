@@ -1,9 +1,11 @@
 """Brute-force verification path: dense matrix exponentials and time-grid scans.
 
 This module deliberately avoids the spectral machinery of the rest of the
-package.  Evolution here goes through scaling-and-squaring Pade exponentials
-only, so scan results are an independent check on everything the detectors
-claim.  All inputs are plain numpy arrays.
+package and imports nothing from `spectral`, `states`, `certificates` or
+`detectors`.  Evolution here goes through scaling-and-squaring Pade
+exponentials only, so scan results are an independent check on everything
+the detectors claim; the shared minimizer (`timescan`) only sees the sampled
+values.  All inputs are plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -14,17 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm as _pade_expm
 
+from .timescan import TIME_RESOLUTION, scan_minima
+
 MAX_EXPM_NORM = 1.0e4
 DEFAULT_STEP = 1e-3
 DEFAULT_RECORD_BELOW = 1e-7
-TIME_RESOLUTION = 1e-13
 
 # Incremental unitary grids are recomputed from a fresh exponential this often
 # to keep round-off from accumulating over long windows.
 _RESYNC_EVERY = 1024
 
-_grid_cache: dict = {}
-_GRID_CACHE_MAX = 8
+# (key, grid) of the most recently built unitary grid, or ().
+_last_grid: tuple = ()
 
 
 def dense_expm(m: np.ndarray) -> np.ndarray:
@@ -43,30 +46,35 @@ def _unitary_at(h: np.ndarray, t: float) -> np.ndarray:
     return dense_expm(1j * t * h)
 
 
-def unitary_grid(h: np.ndarray, t0: float, step: float, count: int) -> np.ndarray:
-    """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built incrementally.
-
-    Recently built grids are cached so that scans over the same matrix and
-    window share the work.  The returned array is read-only.
-    """
-    h = np.asarray(h, dtype=complex)
-    key = (h.tobytes(), h.shape[0], float(t0), float(step), int(count))
-    cached = _grid_cache.get(key)
-    if cached is not None:
-        return cached
+def _build_grid(h: np.ndarray, t0: float, step: float, count: int) -> np.ndarray:
+    """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built incrementally."""
     n = h.shape[0]
     out = np.empty((count, n, n), dtype=complex)
     u_step = _unitary_at(h, step)
-    u = _unitary_at(h, t0) if t0 != 0.0 else np.eye(n, dtype=complex)
-    for k in range(count):
-        if k and k % _RESYNC_EVERY == 0:
-            u = _unitary_at(h, t0 + k * step)
-        out[k] = u
-        u = u_step @ u
+    for start in range(0, count, _RESYNC_EVERY):
+        t = t0 + start * step
+        u = _unitary_at(h, t) if t != 0.0 else np.eye(n, dtype=complex)
+        for k in range(start, min(start + _RESYNC_EVERY, count)):
+            out[k] = u
+            u = u_step @ u
+    return out
+
+
+def unitary_grid(h: np.ndarray, t0: float, step: float, count: int) -> np.ndarray:
+    """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built incrementally.
+
+    The most recently built grid is kept, so consecutive scans of one matrix
+    over one window and step share it; building any other grid releases it.
+    The returned array is read-only.
+    """
+    global _last_grid
+    h = np.asarray(h, dtype=complex)
+    key = (h.tobytes(), h.shape[0], float(t0), float(step), int(count))
+    if _last_grid and _last_grid[0] == key:
+        return _last_grid[1]
+    out = _build_grid(h, t0, step, count)
     out.setflags(write=False)
-    if len(_grid_cache) >= _GRID_CACHE_MAX:
-        _grid_cache.pop(next(iter(_grid_cache)))
-    _grid_cache[key] = out
+    _last_grid = (key, out)
     return out
 
 
@@ -96,12 +104,8 @@ def _batch_return(u_stack: np.ndarray, p: np.ndarray, target: np.ndarray) -> np.
     return np.linalg.norm(evolved - target, axis=(1, 2))
 
 
-def _batch_flatness(u_stack: np.ndarray, a: int) -> np.ndarray:
-    probs = np.abs(u_stack[:, :, a]) ** 2
-    return np.abs(probs - 1.0 / u_stack.shape[1]).max(axis=1)
-
-
-def _batch_joint_flatness(u_stack: np.ndarray) -> np.ndarray:
+def _batch_flatness(u_stack: np.ndarray) -> np.ndarray:
+    """Largest distance from 1/n of |U(t)_ij|^2 over the stack's columns j."""
     probs = np.abs(u_stack) ** 2
     return np.abs(probs - 1.0 / u_stack.shape[1]).max(axis=(1, 2))
 
@@ -115,37 +119,12 @@ def _slope_bound(h: np.ndarray) -> float:
     return 2.0 * float(np.abs(h).sum(axis=1).max())
 
 
-def _zoom_minimum(h, objective, lo, hi, best_t, best_v, time_resolution):
-    """Shrink a bracket around a local minimum, evaluating on the dense path."""
-    while hi - lo > time_resolution:
-        count = 65
-        step = (hi - lo) / (count - 1)
-        if step <= time_resolution / 4:
-            break
-        stack = np.empty((count, h.shape[0], h.shape[0]), dtype=complex)
-        u_step = _unitary_at(h, step)
-        u = _unitary_at(h, lo)
-        for k in range(count):
-            stack[k] = u
-            u = u_step @ u
-        ts = lo + step * np.arange(count)
-        values = objective(stack, ts)
-        k = int(values.argmin())
-        if values[k] < best_v:
-            best_v = float(values[k])
-            best_t = float(ts[k])
-        lo = ts[max(k - 1, 0)]
-        hi = ts[min(k + 1, count - 1)]
-    return best_t, best_v
-
-
 def _scan(
     h: np.ndarray,
     objective,
     window: tuple[float, float],
     step: float,
     record_below: float,
-    refine_below: float | None,
     time_resolution: float,
     max_records: int | None,
 ) -> ScanResult:
@@ -156,38 +135,22 @@ def _scan(
     if t1 <= t0:
         raise ValueError("empty scan window")
     count = int(np.floor((t1 - t0) / step)) + 1
-    u_stack = unitary_grid(h, t0, step, count)
-    ts = t0 + step * np.arange(count)
-    values = objective(u_stack, ts)
-
-    if refine_below is None:
-        # A candidate can only dip below the recording threshold if its grid
-        # value is within one slope-bounded step of it.
-        refine_below = max(10.0 * record_below, 2.0 * _slope_bound(h) * step)
-
-    floor = float(values.min())
+    values = objective(unitary_grid(h, t0, step, count))
     ceiling = float(values.max())
     if ceiling <= record_below:
         # objective is flat at zero scale (stationary state): nothing to refine
-        return ScanResult(step, (), floor, ceiling)
-    interior = (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
-    candidates = [i + 1 for i in np.nonzero(interior)[0]]
-    global_idx = int(values.argmin())
-    if 0 < global_idx < count - 1 and global_idx not in candidates:
-        candidates.append(global_idx)
-
-    minima = []
-    for i in sorted(candidates):
-        if values[i] > refine_below and i != global_idx:
-            continue
-        if max_records is not None and len(minima) >= max_records and i != global_idx:
-            continue
-        t, v = _zoom_minimum(
-            h, objective, ts[i - 1], ts[i + 1], float(ts[i]), float(values[i]), time_resolution
-        )
-        floor = min(floor, v)
-        if v <= record_below:
-            minima.append((t, v))
+        return ScanResult(step, (), float(values.min()), ceiling)
+    minima, floor = scan_minima(
+        t0 + step * np.arange(count),
+        values,
+        lambda lo, dt, k: objective(_build_grid(h, lo, dt, k)),
+        # a minimum can only dip below record_below if its grid value is
+        # within one slope-bounded step of it
+        max(10.0 * record_below, 2.0 * _slope_bound(h) * step),
+        record_below,
+        max_records,
+        time_resolution,
+    )
     # merge refinements that collapsed onto the same minimum
     merged: list[tuple[float, float]] = []
     for t, v in sorted(minima):
@@ -205,7 +168,6 @@ def scan_return(
     window: tuple[float, float] = (0.0, 20.0),
     step: float = DEFAULT_STEP,
     record_below: float = DEFAULT_RECORD_BELOW,
-    refine_below: float | None = None,
     time_resolution: float = TIME_RESOLUTION,
     max_records: int | None = None,
 ) -> ScanResult:
@@ -213,11 +175,10 @@ def scan_return(
     p = np.asarray(p, dtype=complex)
     return _scan(
         h,
-        lambda u, ts: _batch_return(u, p, p),
+        lambda u: _batch_return(u, p, p),
         window,
         step,
         record_below,
-        refine_below,
         time_resolution,
         max_records,
     )
@@ -230,7 +191,6 @@ def scan_transfer(
     window: tuple[float, float] = (0.0, 20.0),
     step: float = DEFAULT_STEP,
     record_below: float = DEFAULT_RECORD_BELOW,
-    refine_below: float | None = None,
     time_resolution: float = TIME_RESOLUTION,
     max_records: int | None = None,
 ) -> ScanResult:
@@ -239,11 +199,10 @@ def scan_transfer(
     q = np.asarray(q, dtype=complex)
     return _scan(
         h,
-        lambda u, ts: _batch_return(u, p, q),
+        lambda u: _batch_return(u, p, q),
         window,
         step,
         record_below,
-        refine_below,
         time_resolution,
         max_records,
     )
@@ -255,7 +214,6 @@ def scan_flatness(
     window: tuple[float, float] = (0.0, 20.0),
     step: float = DEFAULT_STEP,
     record_below: float = 1e-8,
-    refine_below: float | None = None,
     time_resolution: float = TIME_RESOLUTION,
     max_records: int | None = None,
 ) -> ScanResult:
@@ -265,11 +223,10 @@ def scan_flatness(
         raise ValueError("vertex index out of range")
     return _scan(
         h,
-        lambda u, ts: _batch_flatness(u, a),
+        lambda u: _batch_flatness(u[:, :, a : a + 1]),
         window,
         step,
         record_below,
-        refine_below,
         time_resolution,
         max_records,
     )
@@ -280,22 +237,11 @@ def scan_uniform_flatness(
     window: tuple[float, float] = (0.0, 20.0),
     step: float = DEFAULT_STEP,
     record_below: float = 1e-8,
-    refine_below: float | None = None,
     time_resolution: float = TIME_RESOLUTION,
     max_records: int | None = None,
 ) -> ScanResult:
     """Scan the probability defect of all columns of U(t) at a common time."""
-    h = np.asarray(h, dtype=complex)
-    return _scan(
-        h,
-        lambda u, ts: _batch_joint_flatness(u),
-        window,
-        step,
-        record_below,
-        refine_below,
-        time_resolution,
-        max_records,
-    )
+    return _scan(h, _batch_flatness, window, step, record_below, time_resolution, max_records)
 
 
 def evolve_dense(p: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:

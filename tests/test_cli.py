@@ -243,6 +243,35 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--state", "vertex:0", "--t-max", "-1"),
+        ("analyze", "--state", "vertex:0", "--t-max", "nan"),
+        ("scan", "--kind", "flatness", "--vertex", "0", "--grid-step", "0"),
+    ],
+)
+def test_bad_scan_window_is_an_input_error(capsys, k2_file, argv):
+    code, out, err = run_cli(capsys, argv[0], k2_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_unreadable_inputs_are_input_errors(capsys, tmp_path, k2_file):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"\xe9 1\n")
+    cases = [
+        ("analyze", k2_file, "--state", f"@{tmp_path / 'missing.json'}"),
+        ("analyze", k2_file, "--state", f"@{latin1}"),
+        ("spectra", str(latin1)),
+        ("spectra", str(tmp_path)),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("input error: cannot read") and err.count("\n") == 1, argv
+
+
 def test_byte_identical_reruns(capsys, p3_file):
     _, out1, _ = run_cli(capsys, "analyze", p3_file, "--state", "vertex:0", "--emit", "report,blocks,scan")
     _, out2, _ = run_cli(capsys, "analyze", p3_file, "--state", "vertex:0", "--emit", "report,blocks,scan")

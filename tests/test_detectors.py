@@ -339,6 +339,19 @@ def test_uniform_mixing_p3_no(p3, decomp):
     assert report.residual > 1e-3
 
 
+@pytest.mark.parametrize("t_max", [-1.0, 0.0, math.nan, math.inf])
+def test_scans_reject_bad_horizon(k2, decomp, t_max):
+    d = decomp(k2)
+    scans = (
+        lambda: detect_local_uniform_mixing(d, 0, t_max=t_max),
+        lambda: detect_uniform_mixing(d, t_max=t_max),
+        lambda: pgst_witness_search(vertex_state(2, 0), vertex_state(2, 1), d, t_max=t_max),
+    )
+    for scan in scans:
+        with pytest.raises(ValueError, match="t_max"):
+            scan()
+
+
 # -- vertex bounds ----------------------------------------------------------------------
 
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import gc
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qwalk.oracle
 from qwalk import (
     dense_expm,
     evolve_dense,
@@ -13,6 +19,7 @@ from qwalk import (
     scan_return,
     scan_transfer,
     skew_adjacency,
+    unitary_grid,
     vertex_state,
 )
 
@@ -140,3 +147,31 @@ def test_scan_result_serializes(k2):
     doc = result.to_json()
     assert set(doc) == {"grid_step", "minima", "floor", "ceiling"}
     assert isinstance(result.dumps(), str)
+
+
+def test_unitary_grid_reuses_the_last_grid(k2):
+    h = k2.adjacency().astype(float)
+    grid = unitary_grid(h, 0.0, 1e-2, 50)
+    assert unitary_grid(h, 0.0, 1e-2, 50) is grid
+    assert not grid.flags.writeable
+
+
+def test_unitary_grid_keeps_only_the_last_grid(k2, p3):
+    first = weakref.ref(unitary_grid(k2.adjacency().astype(float), 0.0, 1e-2, 50))
+    unitary_grid(p3.adjacency().astype(float), 0.0, 1e-2, 50)
+    gc.collect()
+    assert first() is None
+
+
+def test_oracle_imports_nothing_spectral():
+    """The oracle's evolution path stays independent of what it checks."""
+    forbidden = {"spectral", "states", "certificates", "detectors"}
+    tree = ast.parse(Path(qwalk.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+    assert not imported & forbidden
