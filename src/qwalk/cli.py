@@ -2,8 +2,9 @@
 deterministic JSON reports.
 
 Commands: spectra, analyze, verify, evolve, scan, orient.  Exit codes:
-0 success, 1 numerical or detection failure, 2 input error.  The environment
-variable QWALK_MAX_N caps the matrix size (default 512).
+0 success, 1 numerical or detection failure (running out of memory included),
+2 input error.  The environment variable QWALK_MAX_N caps the matrix size
+(default 512); a value that is not a positive integer is an input error.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .spectral import (
     DEFAULT_GROUPING_TOL,
     decompose_graph,
     decompose_oriented,
+    max_n,
     transition_matrix,
 )
 from .states import (
@@ -480,6 +482,10 @@ def cmd_orient(args) -> int:
 
 
 def _config(args) -> RunConfig:
+    try:
+        max_n()
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     emit = tuple(s.strip() for s in args.emit.split(",")) if getattr(args, "emit", None) else ("report",)
     return RunConfig(
         tol=args.tol,
@@ -573,6 +579,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except (ValueError, np.linalg.LinAlgError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_FAILURE
 
 

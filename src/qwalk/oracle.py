@@ -6,6 +6,11 @@ package and imports nothing from `spectral`, `states`, `certificates` or
 exponentials only, so scan results are an independent check on everything
 the detectors claim; the shared minimizer (`timescan`) only sees the sampled
 values.  All inputs are plain numpy arrays.
+
+Unitary grids are built by doubling, U((f + j)h) = U(fh) U(jh), one batched
+product per doubling.  Return and transfer scans between pure states read one
+column of U(t): since U(t) is unitary, ||U xx* U* - yy*||_F equals
+sqrt(2) ||Ux - <y, Ux> y||, which needs no (grid, n, n) product.
 """
 
 from __future__ import annotations
@@ -22,9 +27,13 @@ MAX_EXPM_NORM = 1.0e4
 DEFAULT_STEP = 1e-3
 DEFAULT_RECORD_BELOW = 1e-7
 
-# Incremental unitary grids are recomputed from a fresh exponential this often
-# to keep round-off from accumulating over long windows.
+# Doubling factors U(f*step) come from squaring while f is below this and from a
+# fresh exponential from then on, since each squaring doubles a factor's
+# round-off.
 _RESYNC_EVERY = 1024
+
+# A state is taken as the pure state xx* only if it matches xx* this closely.
+_PURE_TOL = 1e-14
 
 # (key, grid) of the most recently built unitary grid, or ().
 _last_grid: tuple = ()
@@ -47,21 +56,27 @@ def _unitary_at(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def _build_grid(h: np.ndarray, t0: float, step: float, count: int) -> np.ndarray:
-    """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built incrementally."""
+    """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built by doubling.
+
+    With the first f entries filled, the next min(f, count - f) are
+    U(f*step) @ out[:f], as one batched product.
+    """
     n = h.shape[0]
     out = np.empty((count, n, n), dtype=complex)
-    u_step = _unitary_at(h, step)
-    for start in range(0, count, _RESYNC_EVERY):
-        t = t0 + start * step
-        u = _unitary_at(h, t) if t != 0.0 else np.eye(n, dtype=complex)
-        for k in range(start, min(start + _RESYNC_EVERY, count)):
-            out[k] = u
-            u = u_step @ u
+    out[0] = _unitary_at(h, t0) if t0 != 0.0 else np.eye(n, dtype=complex)
+    filled = 1
+    factor = _unitary_at(h, step)
+    while filled < count:
+        m = min(filled, count - filled)
+        np.matmul(factor, out[:m], out=out[filled : filled + m])
+        filled += m
+        if filled < count:
+            factor = factor @ factor if filled < _RESYNC_EVERY else _unitary_at(h, filled * step)
     return out
 
 
 def unitary_grid(h: np.ndarray, t0: float, step: float, count: int) -> np.ndarray:
-    """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built incrementally.
+    """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built by doubling.
 
     The most recently built grid is kept, so consecutive scans of one matrix
     over one window and step share it; building any other grid releases it.
@@ -100,8 +115,43 @@ class ScanResult:
 
 
 def _batch_return(u_stack: np.ndarray, p: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """||U p U* - target||_F for each U of the stack; any density matrices."""
     evolved = u_stack @ p @ u_stack.conj().transpose(0, 2, 1)
     return np.linalg.norm(evolved - target, axis=(1, 2))
+
+
+def _pure_vector(p: np.ndarray) -> np.ndarray | None:
+    """A unit x with xx* = p entrywise to _PURE_TOL, or None if there is none.
+
+    x is the normalised column of p at its largest diagonal entry.
+    """
+    col = p[:, int(np.argmax(p.diagonal().real))]
+    norm = np.linalg.norm(col)
+    if not norm > 0.0:
+        return None
+    x = col / norm
+    if not np.abs(np.outer(x, x.conj()) - p).max() <= _PURE_TOL:
+        return None
+    return x
+
+
+def _batch_pure_return(u_stack: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||U xx* U* - yy*||_F = sqrt(2) ||Ux - <y, Ux> y|| for unit x, y.
+
+    The residual form has no cancellation near zero, unlike 2 - 2|<y, Ux>|^2.
+    einsum keeps these products off threaded BLAS gemv.
+    """
+    ux = np.einsum("kij,j->ki", u_stack, x)
+    overlap = np.einsum("ki,i->k", ux, y.conj())
+    return np.sqrt(2.0) * np.linalg.norm(ux - overlap[:, None] * y, axis=1)
+
+
+def _return_objective(p: np.ndarray, target: np.ndarray):
+    """Stack objective ||U p U* - target||_F: one column of U if both are pure."""
+    x, y = _pure_vector(p), _pure_vector(target)
+    if x is None or y is None:
+        return lambda u: _batch_return(u, p, target)
+    return lambda u: _batch_pure_return(u, x, y)
 
 
 def _batch_flatness(u_stack: np.ndarray) -> np.ndarray:
@@ -175,7 +225,7 @@ def scan_return(
     p = np.asarray(p, dtype=complex)
     return _scan(
         h,
-        lambda u: _batch_return(u, p, p),
+        _return_objective(p, p),
         window,
         step,
         record_below,
@@ -199,7 +249,7 @@ def scan_transfer(
     q = np.asarray(q, dtype=complex)
     return _scan(
         h,
-        lambda u: _batch_return(u, p, q),
+        _return_objective(p, q),
         window,
         step,
         record_below,

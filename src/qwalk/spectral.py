@@ -18,8 +18,18 @@ DEFAULT_GROUPING_TOL = 1e-9
 _DEFAULT_MAX_N = 512
 
 
-def _max_n() -> int:
-    return int(os.environ.get("QWALK_MAX_N", _DEFAULT_MAX_N))
+def max_n() -> int:
+    """The matrix-size cap: QWALK_MAX_N, a positive integer, or 512."""
+    raw = os.environ.get("QWALK_MAX_N")
+    if raw is None:
+        return _DEFAULT_MAX_N
+    try:
+        cap = int(raw)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"QWALK_MAX_N must be a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +50,6 @@ class SpectralDecomposition:
     @property
     def m(self) -> int:
         return len(self.theta)
-
-    def idempotent(self, r: int) -> np.ndarray:
-        return self.idempotents[r]
 
     def residuals(self) -> dict[str, float]:
         """Numerical defects of the defining identities, for verification."""
@@ -86,8 +93,9 @@ def spectral_decompose(h: np.ndarray, tol: float = DEFAULT_GROUPING_TOL) -> Spec
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     n = h.shape[0]
-    if n > _max_n():
-        raise ValueError(f"matrix size {n} exceeds cap {_max_n()} (set QWALK_MAX_N to raise)")
+    cap = max_n()
+    if n > cap:
+        raise ValueError(f"matrix size {n} exceeds cap {cap} (set QWALK_MAX_N to raise)")
     scale = max(1.0, float(np.linalg.norm(h, 2))) if n else 1.0
     herm_defect = float(np.linalg.norm(h - h.conj().T))
     if herm_defect > tol * scale:

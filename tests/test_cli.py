@@ -272,6 +272,31 @@ def test_unreadable_inputs_are_input_errors(capsys, tmp_path, k2_file):
         assert err.startswith("input error: cannot read") and err.count("\n") == 1, argv
 
 
+def test_out_of_memory_is_a_one_line_failure(capsys, monkeypatch, k2_file):
+    """A grid too large to allocate exits 1 without a traceback."""
+
+    def no_memory(*args):
+        raise MemoryError(
+            "Unable to allocate 763. GiB for an array with shape (20000001, 16, 16) "
+            "and data type complex128"
+        )
+
+    monkeypatch.setattr("qwalk.oracle.unitary_grid", no_memory)
+    code, out, err = run_cli(
+        capsys, "scan", k2_file, "--kind", "return", "--state", "vertex:0", "--grid-step", "1e-7"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "2.5"])
+def test_bad_max_n_is_an_input_error(capsys, monkeypatch, k2_file, value):
+    monkeypatch.setenv("QWALK_MAX_N", value)
+    code, out, err = run_cli(capsys, "spectra", k2_file)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: QWALK_MAX_N") and err.count("\n") == 1
+
+
 def test_byte_identical_reruns(capsys, p3_file):
     _, out1, _ = run_cli(capsys, "analyze", p3_file, "--state", "vertex:0", "--emit", "report,blocks,scan")
     _, out2, _ = run_cli(capsys, "analyze", p3_file, "--state", "vertex:0", "--emit", "report,blocks,scan")

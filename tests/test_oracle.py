@@ -12,6 +12,9 @@ import pytest
 
 import qwalk.oracle
 from qwalk import (
+    Graph,
+    OrientedGraph,
+    complete_graph,
     dense_expm,
     evolve_dense,
     maximally_mixed,
@@ -161,6 +164,73 @@ def test_unitary_grid_keeps_only_the_last_grid(k2, p3):
     unitary_grid(p3.adjacency().astype(float), 0.0, 1e-2, 50)
     gc.collect()
     assert first() is None
+
+
+@pytest.mark.parametrize("t0", [0.0, 2.5])
+@pytest.mark.parametrize(
+    "h",
+    [
+        complete_graph(8).adjacency().astype(float),
+        -1j * skew_adjacency(OrientedGraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])),
+    ],
+    ids=["K8", "oriented-C5"],
+)
+def test_unitary_grid_matches_fresh_exponentials(h, t0):
+    """Doubling keeps every grid entry, across the resync points, at round-off."""
+    step, count = 1e-3, 20001
+    grid = unitary_grid(h, t0, step, count)
+    for k in (0, 1, 1023, 1024, 4095, count - 1):
+        fresh = dense_expm(1j * (t0 + k * step) * h)
+        assert np.abs(grid[k] - fresh).max() <= 1e-12, k
+
+
+def _two_vertex_corpus(n: int, rng) -> list[np.ndarray]:
+    """Unit vectors e_a, (e_a + e_b)/sqrt2, (e_a - e_b)/sqrt2 and one random one."""
+    eye = np.eye(n, dtype=complex)
+    vectors = list(eye)
+    for a in range(n):
+        for b in range(a + 1, n):
+            vectors += [(eye[a] + eye[b]) / np.sqrt(2), (eye[a] - eye[b]) / np.sqrt(2)]
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return vectors + [z / np.linalg.norm(z)]
+
+
+def test_pure_returns_match_the_dense_formula():
+    """On every atlas graph with n <= 5, the one-column objective equals the
+    dense U p U* formula for returns and transfers between pure states.
+
+    The grid is the atlas sweep's window [0, 20] sampled at every tenth point
+    of its 4e-3 step."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(7)
+    checked = 0
+    for ag in nx.graph_atlas_g():
+        n = ag.number_of_nodes()
+        if not 1 <= n <= 5:
+            continue
+        h = Graph.from_edges(n, [tuple(sorted(e)) for e in ag.edges()]).adjacency().astype(float)
+        u = unitary_grid(h, 0.0, 4e-2, 501)
+        states = [np.outer(v, v.conj()) for v in _two_vertex_corpus(n, rng)]
+        for i, p in enumerate(states):
+            assert qwalk.oracle._pure_vector(p) is not None
+            for q in (p, states[(i + 1) % len(states)]):
+                fast = qwalk.oracle._return_objective(p, q)(u)
+                dense = qwalk.oracle._batch_return(u, p, q)
+                assert np.abs(fast - dense).max() <= 1e-12, (ag.edges(), i)
+                checked += 1
+    assert checked == 2246
+
+
+def test_mixed_states_take_the_dense_path(monkeypatch, p3):
+    def no_pure_path(*args):
+        raise AssertionError("a mixed state took the pure-state path")
+
+    monkeypatch.setattr(qwalk.oracle, "_batch_pure_return", no_pure_path)
+    h = p3.adjacency().astype(float)
+    pure = vertex_state(3, 0).matrix
+    pair = np.diag([0.5, 0.0, 0.5]).astype(complex)
+    for p, q in [(pure, pair), (pair, pure), (pair, pair), (maximally_mixed(3).matrix, pure)]:
+        scan_transfer(p, q, h, (0.0, 2.0))
 
 
 def test_oracle_imports_nothing_spectral():
