@@ -44,8 +44,10 @@ DEFAULT_FLAT_TOL = 1e-9
 DEFAULT_MIXING_GRID = 10**5
 PGST_PAIR_CAP = 20
 
-# Byte budget for one slice of a detector's coarse time grid, counted as one
-# n x n complex matrix per time, so that no (grid, n, n) array is ever built.
+# Byte budget for one slice of a detector's coarse time grid, counted as 16
+# bytes per entry of an n x n matrix per time: one complex U(t) in the transfer
+# scan, or Re U(t) and Im U(t) as two real arrays in a mixing scan on a plain
+# graph.  No (grid, n, n) array is ever built.
 _CHUNK_BYTES = 1 << 22
 
 
@@ -333,14 +335,67 @@ def _vertex_support(d: SpectralDecomposition, a: int, tol: float = 1e-8) -> Eige
     return EigenvalueSupport(pairs, d.theta)
 
 
+def _is_oriented(d: SpectralDecomposition) -> bool:
+    """Is the source exactly -iS for a nonzero real S, the walk of an oriented graph?"""
+    return bool(d.source.imag.any() and not d.source.real.any())
+
+
+def _column_probabilities(d: SpectralDecomposition, columns):
+    """A function of a slice of times giving |U(t)_ij|^2 for the given columns j.
+
+    It returns a (len(ts), n * len(columns)) float array.  The branch follows
+    the exact structure of the source: for a real one every E_r is real, so
+    Re U = cos(t theta) E and Im U = sin(t theta) E; for a purely imaginary
+    one (-iS) U(t) = exp(tS) is real, U = [cos, -sin] [Re E; Im E].  Any other
+    Hermitian source keeps one complex product.
+    """
+    e = d.idempotents[:, :, columns].reshape(d.m, -1)
+    if not d.source.imag.any():
+        er = np.ascontiguousarray(e.real)
+
+        def probabilities(ts):
+            angles = np.multiply.outer(ts, d.theta)
+            re, im = np.cos(angles) @ er, np.sin(angles) @ er
+            re *= re
+            im *= im
+            re += im
+            return re
+
+    elif _is_oriented(d):
+        stacked = np.concatenate([e.real, e.imag])
+
+        def probabilities(ts):
+            angles = np.multiply.outer(ts, d.theta)
+            u = np.concatenate([np.cos(angles), -np.sin(angles)], axis=1) @ stacked
+            u *= u
+            return u
+
+    else:
+
+        def probabilities(ts):
+            u = np.exp(1j * np.multiply.outer(ts, d.theta)) @ e
+            return u.real**2 + u.imag**2
+
+    return probabilities
+
+
 def _mixing_report(
-    value_fn,
     d: SpectralDecomposition,
+    columns,
     t_max: float,
     flat_tol: float,
     grid_points: int,
     extra_warnings: tuple[str, ...],
 ) -> DetectionReport:
+    """Scan the largest distance from 1/n of |U(t)_ij|^2 over the given columns j."""
+    probabilities = _column_probabilities(d, columns)
+    uniform = 1.0 / d.n
+
+    def value_fn(ts):
+        p = probabilities(ts)
+        p -= uniform
+        return np.abs(p, out=p).max(axis=1)
+
     steps = max(64, int(grid_points))
     # the scan stops recording at the first flat time, which is the witness
     _, flat, floor = _scan_spectral(
@@ -374,9 +429,14 @@ def detect_local_uniform_mixing(
     failed ratio condition rules mixing out; for plain graphs the same check
     is advisory only.  Stage two minimizes the max-entry probability defect
     of U(t) e_a by grid scan and refinement.
+
+    With `oriented=None` the walk counts as oriented iff its source matrix
+    is exactly -iS for a nonzero real S: purely imaginary, as
+    `decompose_oriented` builds it.  A complex Hermitian source with real
+    entries (a graph with complex weights) is not oriented.
     """
     if oriented is None:
-        oriented = bool(np.abs(d.source.imag).max() > 1e-12)
+        oriented = _is_oriented(d)
     warnings = []
     support = _vertex_support(d, a)
     if support.off_diagonal:
@@ -388,15 +448,7 @@ def detect_local_uniform_mixing(
             warnings.append(f"necessary-condition check: ratio condition fails; {kind}")
         else:
             warnings.append(f"necessary-condition check inconclusive: {outcome.reason}")
-    cols = d.idempotents[:, :, a]  # (m, n)
-    n = d.n
-
-    def value_fn(ts):
-        phases = np.exp(1j * np.multiply.outer(ts, d.theta))
-        amps = phases @ cols
-        return np.abs(np.abs(amps) ** 2 - 1.0 / n).max(axis=1)
-
-    report = _mixing_report(value_fn, d, t_max, flat_tol, grid_points, tuple(warnings))
+    report = _mixing_report(d, [a], t_max, flat_tol, grid_points, tuple(warnings))
     if report.verdict == "yes" and oriented and any("fails" in w for w in warnings):
         report = DetectionReport(
             "inconclusive",
@@ -415,13 +467,7 @@ def detect_uniform_mixing(
     grid_points: int = DEFAULT_MIXING_GRID,
 ) -> DetectionReport:
     """Is there one time at which every vertex state mixes uniformly?"""
-    n = d.n
-
-    def value_fn(ts):
-        u = transition_batch(d, ts)
-        return np.abs(np.abs(u) ** 2 - 1.0 / n).max(axis=(1, 2))
-
-    return _mixing_report(value_fn, d, t_max, flat_tol, grid_points, ())
+    return _mixing_report(d, slice(None), t_max, flat_tol, grid_points, ())
 
 
 @dataclass(frozen=True)

@@ -79,14 +79,17 @@ def unitary_grid(h: np.ndarray, t0: float, step: float, count: int) -> np.ndarra
     """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built by doubling.
 
     The most recently built grid is kept, so consecutive scans of one matrix
-    over one window and step share it; building any other grid releases it.
-    The returned array is read-only.
+    over one window and step share it.  A request for any other grid releases
+    the kept one before building, so at most one grid is live at a time
+    unless the caller still holds the old one.  The returned array is
+    read-only.
     """
     global _last_grid
     h = np.asarray(h, dtype=complex)
     key = (h.tobytes(), h.shape[0], float(t0), float(step), int(count))
     if _last_grid and _last_grid[0] == key:
         return _last_grid[1]
+    _last_grid = ()
     out = _build_grid(h, t0, step, count)
     out.setflags(write=False)
     _last_grid = (key, out)

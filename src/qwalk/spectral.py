@@ -161,9 +161,9 @@ def transition_matrix(d: SpectralDecomposition, t: float) -> np.ndarray:
 
 
 def transition_batch(d: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
-    """Stack of U(t) for an array of times."""
+    """Stack of U(t) for an array of times, as one (times, m) x (m, n^2) product."""
     phases = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), d.theta))
-    return np.einsum("kr,rij->kij", phases, d.idempotents)
+    return (phases @ d.idempotents.reshape(d.m, d.n * d.n)).reshape(-1, d.n, d.n)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,15 @@ import math
 import numpy as np
 import pytest
 
+import qwalk.detectors
 from qwalk import (
     EnumerationCapExceeded,
+    Graph,
+    OrientedGraph,
     block_decompose,
     controllability_phase_check,
     decompose_graph,
+    decompose_oriented,
     density_matrix,
     detect_local_uniform_mixing,
     detect_periodicity,
@@ -23,11 +27,16 @@ from qwalk import (
     pgst_candidates,
     pgst_witness_search,
     pst_time_lower_bound,
+    scan_flatness,
     scan_transfer,
+    scan_uniform_flatness,
+    spectral_decompose,
+    star_graph,
     transfer_sign_pattern,
     verify_transfer,
     vertex_state,
 )
+from qwalk.spectral import transition_batch, transition_matrix
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -337,6 +346,78 @@ def test_uniform_mixing_p3_no(p3, decomp):
     report = detect_uniform_mixing(decomp(p3), t_max=20.0)
     assert report.verdict == "no"
     assert report.residual > 1e-3
+
+
+ORIENTED_C5 = OrientedGraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])
+# a triangle with flux 0.7 through it: complex Hermitian, neither real nor -iS
+FLUX_TRIANGLE = np.array(
+    [[0, 1, 1], [1, 0, np.exp(0.7j)], [1, np.exp(-0.7j), 0]], dtype=complex
+)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [path_graph(5), star_graph(3), ORIENTED_C5, FLUX_TRIANGLE],
+    ids=["P5", "K13", "oriented-C5", "flux-triangle"],
+)
+def test_column_probabilities_match_transition_batch(source, decomp):
+    """All three branches (real, -iS, complex Hermitian) give |U(t)_ij|^2."""
+    d = spectral_decompose(source) if isinstance(source, np.ndarray) else decomp(source)
+    ts = np.linspace(0.0, 9.0, 257)
+    u = transition_batch(d, ts)
+    assert np.abs(u - np.array([transition_matrix(d, t) for t in ts])).max() <= 1e-13
+    expected = np.abs(u) ** 2
+    every = qwalk.detectors._column_probabilities(d, slice(None))(ts)
+    assert np.abs(every - expected.reshape(len(ts), -1)).max() <= 1e-13
+    one = qwalk.detectors._column_probabilities(d, [d.n - 1])(ts)
+    assert np.abs(one - expected[:, :, -1]).max() <= 1e-13
+
+
+def test_oriented_inference_needs_a_purely_imaginary_source(oriented_c3, decomp):
+    # a failed ratio condition is only a hard condition for -iS walks
+    flux = spectral_decompose(FLUX_TRIANGLE)
+    report = detect_local_uniform_mixing(flux, 0)
+    assert "necessary-condition check: ratio condition fails; advisory for plain graphs" in (
+        report.warnings
+    )
+    assert report == detect_local_uniform_mixing(flux, 0, oriented=False)
+    d = decomp(oriented_c3)
+    assert qwalk.detectors._is_oriented(d)
+    assert detect_local_uniform_mixing(d, 0) == detect_local_uniform_mixing(d, 0, oriented=True)
+
+
+def test_mixing_verdicts_match_the_oracle_on_random_orientations():
+    """Seeded random orientations of atlas graphs on 4-6 vertices, plus the
+    skew-Hadamard tournament on 4 vertices (exp(tS) is a scaled Hadamard
+    matrix at tan(sqrt(3) t) = sqrt(3)), through both mixing detectors and the
+    oracle's flatness scans on the acceptance sweep's grid."""
+    nx = pytest.importorskip("networkx")
+    from conftest import random_orientation
+
+    rng = np.random.default_rng(8)
+    atlas = [
+        ag for ag in nx.graph_atlas_g() if 4 <= ag.number_of_nodes() <= 6 and ag.number_of_edges()
+    ]
+    corpus = [OrientedGraph.from_arcs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 1), (2, 3)])]
+    for i in rng.choice(len(atlas), 30, replace=False):
+        ag = atlas[i]
+        g = Graph.from_edges(ag.number_of_nodes(), [tuple(sorted(e)) for e in ag.edges()])
+        corpus.append(random_orientation(rng, g))
+    window, step, zoom = (0.0, 20.0), 4e-3, 1e-12
+    verdicts = []
+    for x in corpus:
+        d = decompose_oriented(x)
+        h = np.asarray(d.source)
+        for a in range(x.n):
+            report = detect_local_uniform_mixing(d, a, t_max=window[1], grid_points=5000)
+            oracle = scan_flatness(h, a, window, step, max_records=2, time_resolution=zoom)
+            assert (report.verdict == "yes") == (oracle.floor <= 1e-9), (x.arcs, a)
+            verdicts.append(report.verdict)
+        report = detect_uniform_mixing(d, t_max=window[1], grid_points=5000)
+        oracle = scan_uniform_flatness(h, window, step, max_records=2, time_resolution=zoom)
+        assert (report.verdict == "yes") == (oracle.floor <= 1e-9), x.arcs
+        verdicts.append(report.verdict)
+    assert verdicts.count("yes") >= 5 and verdicts.count("no") >= 150
 
 
 @pytest.mark.parametrize("t_max", [-1.0, 0.0, math.nan, math.inf])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -164,6 +165,20 @@ def test_unitary_grid_keeps_only_the_last_grid(k2, p3):
     unitary_grid(p3.adjacency().astype(float), 0.0, 1e-2, 50)
     gc.collect()
     assert first() is None
+
+
+def test_unitary_grid_releases_the_kept_grid_before_building():
+    h = complete_graph(9).adjacency().astype(float)
+    tracemalloc.start()
+    try:
+        unitary_grid(h, 0.0, 1e-2, 2001)
+        tracemalloc.reset_peak()
+        new = unitary_grid(h, 0.0, 2e-2, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # keeping the old grid while building would peak at twice the new one
+    assert peak < 1.25 * new.nbytes
 
 
 @pytest.mark.parametrize("t0", [0.0, 2.5])
