@@ -426,9 +426,9 @@ def detect_local_uniform_mixing(
 
     Stage one reports the ratio condition on the vertex support: for walks on
     oriented graphs a flat column is forced to have algebraic entries, so a
-    failed ratio condition rules mixing out; for plain graphs the same check
-    is advisory only.  Stage two minimizes the max-entry probability defect
-    of U(t) e_a by grid scan and refinement.
+    failed ratio condition rules mixing out; for plain graphs and other
+    Hermitian walks the same check is advisory only.  Stage two minimizes the
+    max-entry probability defect of U(t) e_a by grid scan and refinement.
 
     With `oriented=None` the walk counts as oriented iff its source matrix
     is exactly -iS for a nonzero real S: purely imaginary, as
@@ -444,7 +444,12 @@ def detect_local_uniform_mixing(
         if isinstance(outcome, RatioCertificate):
             warnings.append("necessary-condition check: vertex support satisfies the ratio condition")
         elif isinstance(outcome, RatioConditionFailure):
-            kind = "hard necessary condition (oriented walk)" if oriented else "advisory for plain graphs"
+            if oriented:
+                kind = "hard necessary condition (oriented walk)"
+            elif d.source.imag.any():
+                kind = "advisory (complex Hermitian walk, not oriented)"
+            else:
+                kind = "advisory for plain graphs"
             warnings.append(f"necessary-condition check: ratio condition fails; {kind}")
         else:
             warnings.append(f"necessary-condition check inconclusive: {outcome.reason}")

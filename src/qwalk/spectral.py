@@ -2,7 +2,9 @@
 
 Real symmetric adjacency matrices and the Hermitian matrices -iS of oriented
 graphs are both handled here; every downstream operation works off the same
-SpectralDecomposition.
+SpectralDecomposition.  Its working form is the grouped eigenvectors V: the
+columns of group r are V_r = vectors[:, bounds[r]:bounds[r + 1]], and
+E_r = V_r V_r*.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class SpectralDecomposition:
     theta: np.ndarray  # (m,) strictly decreasing
     idempotents: np.ndarray  # (m, n, n) Hermitian projectors
     mult: tuple[int, ...]
+    vectors: np.ndarray  # (n, n) eigenvectors, columns grouped by decreasing theta
+    bounds: tuple[int, ...]  # group r is vectors[:, bounds[r]:bounds[r + 1]]
     source: np.ndarray  # the decomposed Hermitian matrix
     tol: float
     warnings: tuple[str, ...] = ()
@@ -51,17 +55,25 @@ class SpectralDecomposition:
     def m(self) -> int:
         return len(self.theta)
 
+    def group_norms(self, x: np.ndarray) -> np.ndarray:
+        """(m, m) Frobenius norms of the (r, s) sub-blocks of an n x n matrix."""
+        starts = self.bounds[:-1]
+        sq = np.abs(x) ** 2
+        return np.sqrt(np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1))
+
     def residuals(self) -> dict[str, float]:
-        """Numerical defects of the defining identities, for verification."""
+        """Numerical defects of the defining identities, for verification.
+
+        Orthogonality is read from one Gram matrix G = V*V - I: since
+        E_r E_s - delta_rs E_r = V_r G_rs V_s*, the largest sub-block norm
+        ||G_rs||_F equals the largest ||E_r E_s - delta_rs E_r||_F up to a
+        factor (1 + ||G||_2)^2, without forming any of the m^2 products.
+        """
         ident = np.eye(self.n)
         completeness = float(np.linalg.norm(self.idempotents.sum(axis=0) - ident))
-        orth = 0.0
-        for r in range(self.m):
-            for s in range(self.m):
-                prod = self.idempotents[r] @ self.idempotents[s]
-                if r == s:
-                    prod = prod - self.idempotents[r]
-                orth = max(orth, float(np.linalg.norm(prod)))
+        v = self.vectors
+        gram = v.conj().T @ v - ident
+        orth = float(self.group_norms(gram).max()) if self.m else 0.0
         recon = float(
             np.linalg.norm(self.source - np.einsum("r,rij->ij", self.theta, self.idempotents))
         )
@@ -119,25 +131,23 @@ def spectral_decompose(h: np.ndarray, tol: float = DEFAULT_GROUPING_TOL) -> Spec
                 f"ambiguous eigenvalue gap {gap:.3e} near grouping threshold {threshold:.3e}"
             )
 
-    theta = []
-    idem = []
-    mult = []
-    for idx in groups:
-        block = vecs[:, idx]
-        theta.append(float(raw[idx].mean()))
-        idem.append(block @ block.conj().T)
-        mult.append(len(idx))
-    # decreasing eigenvalue order
-    theta_arr = np.array(theta[::-1])
-    idem_arr = np.array(idem[::-1]) if idem else np.zeros((0, n, n), dtype=complex)
-    theta_arr.setflags(write=False)
-    idem_arr.setflags(write=False)
+    groups.reverse()  # decreasing eigenvalue order
+    grouped = vecs[:, [i for idx in groups for i in idx]]
+    mult = tuple(len(idx) for idx in groups)
+    bounds = tuple(int(b) for b in np.cumsum((0,) + mult))
+    theta_arr = np.array([float(raw[idx].mean()) for idx in groups])
+    idem_arr = np.zeros((len(groups), n, n), dtype=complex)
+    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        idem_arr[r] = grouped[:, lo:hi] @ grouped[:, lo:hi].conj().T
     src = hs.copy()
-    src.setflags(write=False)
+    for arr in (theta_arr, idem_arr, grouped, src):
+        arr.setflags(write=False)
     return SpectralDecomposition(
         theta=theta_arr,
         idempotents=idem_arr,
-        mult=tuple(mult[::-1]),
+        mult=mult,
+        vectors=grouped,
+        bounds=bounds,
         source=src,
         tol=tol,
         warnings=tuple(warnings),

@@ -2,13 +2,16 @@
 
 A density matrix is decomposed against a SpectralDecomposition into blocks
 E_r P E_s; the set of index pairs with a nonzero block is the eigenvalue
-support, and evolution multiplies each block by a phase.
+support, and evolution multiplies each block by a phase.  The blocks are held
+in the eigenbasis: with E_r = V_r V_r*, block (r, s) is V_r P^_rs V_s* for
+the (r, s) sub-block of P^ = V* P V, so one n x n matrix carries all of them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,11 +152,15 @@ class EigenvalueSupport:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """The nonzero blocks E_r P E_s of a state against a decomposition."""
+    """The nonzero blocks E_r P E_s of a state against a decomposition.
 
-    blocks: dict[tuple[int, int], np.ndarray]
+    `p_hat` is V* P V with every sub-block outside the support zeroed; the
+    n x n blocks themselves are built only when `blocks` is first read.
+    """
+
+    p_hat: np.ndarray
+    decomposition: SpectralDecomposition
     support: EigenvalueSupport
-    theta: np.ndarray
     block_tol: float
     state: DensityMatrix
 
@@ -161,14 +168,22 @@ class BlockDecomposition:
     def n(self) -> int:
         return self.state.n
 
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for block in self.blocks.values():
-            out += block
+    @cached_property
+    def blocks(self) -> dict[tuple[int, int], np.ndarray]:
+        """{(r, s): V_r P^_rs V_s*} over the support, in row-major order."""
+        v, bounds = self.decomposition.vectors, self.decomposition.bounds
+        out = {}
+        for r, s in sorted(self.support.pairs):
+            rows, cols = slice(bounds[r], bounds[r + 1]), slice(bounds[s], bounds[s + 1])
+            out[(r, s)] = v[:, rows] @ self.p_hat[rows, cols] @ v[:, cols].conj().T
         return out
 
+    def reconstruct(self) -> np.ndarray:
+        v = self.decomposition.vectors
+        return v @ self.p_hat @ v.conj().T
+
     def off_diagonal_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((r, s) for r, s in self.blocks if r < s))
+        return tuple(sorted((r, s) for r, s in self.support.pairs if r < s))
 
 
 def block_decompose(
@@ -176,30 +191,34 @@ def block_decompose(
     d: SpectralDecomposition,
     block_tol: float | None = None,
 ) -> BlockDecomposition:
-    """Compute the blocks E_r P E_s, keeping those with norm above block_tol."""
+    """Find the blocks E_r P E_s with norm above block_tol, in the eigenbasis.
+
+    ||E_r P E_s||_F is the norm of the (r, s) sub-block of P^ = V* P V, so the
+    support comes from two n x n products and no block is formed.
+    """
     m = p.matrix
     if m.shape[0] != d.n:
         raise StateError(f"state has dimension {m.shape[0]}, decomposition has {d.n}")
     if block_tol is None:
         block_tol = 1e-9 * max(1.0, float(np.linalg.norm(m)))
-    blocks = {}
-    pairs = set()
-    left = d.idempotents @ m  # (m, n, n)
-    for r in range(d.m):
-        for s in range(d.m):
-            block = left[r] @ d.idempotents[s]
-            if np.linalg.norm(block) > block_tol:
-                blocks[(r, s)] = block
-                pairs.add((r, s))
-    support = EigenvalueSupport(frozenset(pairs), d.theta)
-    return BlockDecomposition(blocks, support, d.theta, float(block_tol), p)
+    v = d.vectors
+    p_hat = v.conj().T @ m @ v
+    keep = d.group_norms(p_hat) > block_tol
+    pairs = frozenset((int(r), int(s)) for r, s in zip(*np.nonzero(keep)))
+    p_hat[~np.repeat(np.repeat(keep, d.mult, axis=0), d.mult, axis=1)] = 0.0
+    p_hat.setflags(write=False)
+    support = EigenvalueSupport(pairs, d.theta)
+    return BlockDecomposition(p_hat, d, support, float(block_tol), p)
 
 
 def evolve(b: BlockDecomposition, t: float) -> DensityMatrix:
-    """P(t) = sum over blocks of exp(i t (theta_r - theta_s)) E_r P E_s."""
-    out = np.zeros((b.n, b.n), dtype=complex)
-    for (r, s), block in b.blocks.items():
-        out += np.exp(1j * t * (b.theta[r] - b.theta[s])) * block
+    """P(t) = sum over blocks of exp(i t (theta_r - theta_s)) E_r P E_s.
+
+    As W P^ W* with W = V diag(exp(i t theta)), so it costs two n x n products.
+    """
+    d = b.decomposition
+    w = d.vectors * np.exp(1j * t * np.repeat(d.theta, d.mult))
+    out = w @ b.p_hat @ w.conj().T
     out = (out + out.conj().T) / 2
     return density_matrix(out, tol=max(b.state.tol, 1e-8))
 

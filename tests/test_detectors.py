@@ -377,9 +377,10 @@ def test_oriented_inference_needs_a_purely_imaginary_source(oriented_c3, decomp)
     # a failed ratio condition is only a hard condition for -iS walks
     flux = spectral_decompose(FLUX_TRIANGLE)
     report = detect_local_uniform_mixing(flux, 0)
-    assert "necessary-condition check: ratio condition fails; advisory for plain graphs" in (
-        report.warnings
-    )
+    assert (
+        "necessary-condition check: ratio condition fails; "
+        "advisory (complex Hermitian walk, not oriented)"
+    ) in report.warnings
     assert report == detect_local_uniform_mixing(flux, 0, oriented=False)
     d = decomp(oriented_c3)
     assert qwalk.detectors._is_oriented(d)
