@@ -194,7 +194,8 @@ def block_decompose(
     """Find the blocks E_r P E_s with norm above block_tol, in the eigenbasis.
 
     ||E_r P E_s||_F is the norm of the (r, s) sub-block of P^ = V* P V, so the
-    support comes from two n x n products and no block is formed.
+    support comes from two n x n products and no block is formed.  The support
+    is closed: every group in a kept pair keeps its diagonal block.
     """
     m = p.matrix
     if m.shape[0] != d.n:
@@ -204,6 +205,11 @@ def block_decompose(
     v = d.vectors
     p_hat = v.conj().T @ m @ v
     keep = d.group_norms(p_hat) > block_tol
+    # ||P^_rs|| is about the geometric mean of ||P^_rr|| and ||P^_ss||, so a
+    # kept off-diagonal block can outlive a diagonal one; keep (r, r) for
+    # every group that a kept pair touches.
+    touched = np.flatnonzero(keep.any(axis=0) | keep.any(axis=1))
+    keep[touched, touched] = True
     pairs = frozenset((int(r), int(s)) for r, s in zip(*np.nonzero(keep)))
     p_hat[~np.repeat(np.repeat(keep, d.mult, axis=0), d.mult, axis=1)] = 0.0
     p_hat.setflags(write=False)

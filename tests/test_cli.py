@@ -321,3 +321,20 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "spectra", "-")
     assert code == 0
     assert json.loads(out)["n"] == 2
+
+
+def test_verify_keeps_the_diagonal_block_of_a_weak_group(capsys, tmp_path):
+    """Vertex 0 of this 9-vertex graph has |x_4|^2 = 3.2e-11 on one group, so
+    its diagonal block falls below block_tol while the off-diagonal blocks of
+    that group, about sqrt(3.2e-11) in norm, stay above it.  The support keeps
+    the diagonal block of every group that a kept pair touches."""
+    edges = "0 1, 0 2, 0 4, 0 5, 0 7, 1 5, 1 7, 2 3, 2 4, 2 6, 3 4, 3 7, 3 8, 4 5, 4 7, 5 7, 5 8, 6 8, 7 8"
+    path = tmp_path / "g9.txt"
+    path.write_text("".join(f"{e.strip()}\n" for e in edges.split(",")))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    doc = json.loads(out)
+    presence = next(
+        c for c in doc["checks"] if c["invariant"] == "blocks.support_diagonal_presence[v0]"
+    )
+    assert presence["residual"] == 0.0
+    assert doc["passed"] is True and code == 0

@@ -27,6 +27,7 @@ from qwalk import (
     pgst_candidates,
     pgst_witness_search,
     pst_time_lower_bound,
+    pure_state,
     scan_flatness,
     scan_transfer,
     scan_uniform_flatness,
@@ -252,6 +253,19 @@ def test_pgst_candidates_p3_contains_both_ends(p3, decomp):
     assert any(np.linalg.norm(m - vertex_state(3, 2).matrix) <= 1e-9 for m in mats)
     for m in mats:
         assert np.linalg.eigvalsh(m).min() >= -1e-9
+
+
+def test_pgst_candidates_keep_a_weak_diagonal_block(p3, decomp):
+    """z ~ (1 + eps, 0, 1 - eps) on P3 puts weight eps^2 = 1e-9 on the zero
+    eigenvalue, at block_tol; its off-diagonal blocks are about 2e-5.  A pure
+    state on 3 groups has 2^(3-1) sign patterns that stay PSD."""
+    d = decomp(p3)
+    eps = np.sqrt(1e-9)
+    z = np.array([1 + eps, 0.0, 1 - eps])
+    p = pure_state(z / np.linalg.norm(z))
+    b = block_decompose(p, d)
+    assert b.support.diagonal == {0, 1, 2}
+    assert len(pgst_candidates(p, b, d)) == 4
 
 
 def test_pgst_candidates_cap(decomp):
