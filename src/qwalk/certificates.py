@@ -41,11 +41,38 @@ def rational_approx(x: float, max_den: int = DEFAULT_MAX_DEN, tol: float = 1e-9)
         raise ValueError("max_den must be at least 1")
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    frac = Fraction(x).limit_denominator(int(max_den))
-    residual = abs(x - frac.numerator / frac.denominator)
+    p, q = _limit_denominator(float(x), int(max_den))
+    residual = abs(x - p / q)
     if residual > tol:
         return None
-    return RationalApprox(frac.numerator, frac.denominator, float(residual))
+    return RationalApprox(p, q, float(residual))
+
+
+def _limit_denominator(x: float, max_den: int) -> tuple[int, int]:
+    """Fraction(x).limit_denominator(max_den) as (p, q), in plain integers.
+
+    The best lower and upper approximations with denominator <= max_den
+    are the last convergent p1/q1 and the semiconvergent pb/qb of the
+    continued fraction of x; the closer one wins, p1/q1 on a tie.
+    """
+    num, den = x.as_integer_ratio()
+    if den <= max_den:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    pb, qb = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |pb/qb - x|, cleared of the positive denominators
+    if abs(p1 * den - num * q1) * qb <= abs(pb * den - num * qb) * q1:
+        return p1, q1
+    return pb, qb
 
 
 def squarefree_part(k: int) -> tuple[int, int]:
@@ -116,18 +143,21 @@ def _off_diagonal_pairs(support) -> list[tuple[int, int]]:
     return sorted({(min(r, s), max(r, s)) for r, s in pairs if r != s})
 
 
-def _irrational_witness(pairs, diffs, tol):
-    """Most irrational-looking pairwise ratio, scored against small rationals."""
+def _irrational_witness(pairs, diffs, ref):
+    """Most irrational-looking ratio diffs[j] / diffs[ref], scored against small rationals.
+
+    One row suffices: were every difference a rational multiple of
+    diffs[ref], every pairwise ratio would be rational.
+    """
     best = None
-    for i in range(len(diffs)):
-        for j in range(len(diffs)):
-            if i == j:
-                continue
-            ratio = diffs[i] / diffs[j]
-            frac = Fraction(ratio).limit_denominator(_WITNESS_DEN)
-            score = abs(ratio - frac.numerator / frac.denominator)
-            if best is None or score > best[0]:
-                best = (score, pairs[i], pairs[j], ratio)
+    for j, diff in enumerate(diffs):
+        if j == ref:
+            continue
+        ratio = diff / diffs[ref]
+        frac = Fraction(ratio).limit_denominator(_WITNESS_DEN)
+        score = abs(ratio - frac.numerator / frac.denominator)
+        if best is None or score > best[0]:
+            best = (score, pairs[j], pairs[ref], ratio)
     return best
 
 
@@ -206,9 +236,13 @@ def ratio_condition(
             ratio=residual,
         )
 
-    # Some squared difference is not close to an integer.
+    # Some squared difference is not close to an integer >= 1; the first one
+    # is the reference of the witness row.
     if rational_state:
-        witness = _irrational_witness(pairs, diffs, tol)
+        ref = next(
+            i for i, (sq, k) in enumerate(zip(squares, rounded)) if abs(sq - k) > tol or k < 1
+        )
+        witness = _irrational_witness(pairs, diffs, ref)
         if witness is not None and witness[0] > tol:
             _, pair_a, pair_b, ratio = witness
             return RatioConditionFailure(

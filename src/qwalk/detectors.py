@@ -209,6 +209,46 @@ def verify_transfer(p: DensityMatrix, q: DensityMatrix, d: SpectralDecomposition
     return float(np.linalg.norm(u @ p.matrix @ u.conj().T - q.matrix))
 
 
+def _pruned_sign_patterns(b: BlockDecomposition, pairs, floor: float) -> np.ndarray:
+    """Indices of the sign patterns whose leading sub-blocks all stay PSD.
+
+    Pattern i flips pairs[k] when bit k of i is set.  The support groups
+    g_1 < ... < g_k are added one at a time: at level j each surviving
+    partial pattern is extended by the signs of the pairs (g_i, g_j), i < j,
+    and kept only if the principal sub-block of the sign-flipped P^ over
+    g_1..g_j has smallest eigenvalue >= -floor.  That sub-block is a
+    compression of the whole flipped P^, so by Cauchy interlacing its
+    smallest eigenvalue bounds the whole one from above.  Returns the
+    surviving indices in increasing order.
+    """
+    d = b.decomposition
+    groups = sorted({g for pair in pairs for g in pair})
+    level = {g: j for j, g in enumerate(groups)}
+    mult = np.array([d.mult[g] for g in groups], dtype=int)
+    cols = [c for g in groups for c in range(d.bounds[g], d.bounds[g + 1])]
+    patterns = np.zeros(1, dtype=np.int64)
+    for j, g in enumerate(groups):
+        new = [k for k, (_, s) in enumerate(pairs) if s == g]
+        if not new:
+            continue  # the sub-block gains no sign, so it prunes nothing new
+        for k in new:
+            patterns = np.concatenate([patterns, patterns | (1 << k)])
+        placed = [(k, level[r], level[s]) for k, (r, s) in enumerate(pairs) if level[s] <= j]
+        size = int(mult[: j + 1].sum())
+        sub = b.p_hat[np.ix_(cols[:size], cols[:size])]
+        chunk = max(1, _CHUNK_BYTES // (16 * size * size))
+        live = []
+        for start in range(0, len(patterns), chunk):
+            part = patterns[start : start + chunk]
+            signs = np.ones((len(part), j + 1, j + 1))
+            for k, a, c in placed:
+                signs[:, a, c] = signs[:, c, a] = 1 - 2 * ((part >> k) & 1)
+            signs = np.repeat(np.repeat(signs, mult[: j + 1], axis=1), mult[: j + 1], axis=2)
+            live.append(part[np.linalg.eigvalsh(signs * sub)[:, 0] >= -floor])
+        patterns = np.concatenate(live)
+    return np.sort(patterns)
+
+
 def pgst_candidates(
     p: DensityMatrix,
     b: BlockDecomposition,
@@ -220,11 +260,14 @@ def pgst_candidates(
 
     Any target agrees with p on diagonal blocks and flips signs of some
     off-diagonal blocks, so candidates are the PSD members of the sign-flip
-    family.  The all-plus pattern (p itself) is always first.
+    family.  The all-plus pattern (p itself) is always first.  Only the
+    patterns that survive the interlacing pruning (`_pruned_sign_patterns`,
+    with a 1e-12 margin for round-off) reach the exact n x n PSD test.
     """
     pairs = b.off_diagonal_pairs()
     if len(pairs) > pair_cap:
         raise EnumerationCapExceeded(2 ** len(pairs))
+    survivors = _pruned_sign_patterns(b, pairs, psd_tol + 1e-12)
     n = b.n
     base = np.zeros((n, n), dtype=complex)
     for r, s in b.blocks:
@@ -235,22 +278,20 @@ def pgst_candidates(
         combo = b.blocks[(r, s)] + b.blocks.get((s, r), b.blocks[(r, s)].conj().T)
         combos.append(combo)
 
-    count = 2 ** len(pairs)
     out: list[tuple[SignPattern, DensityMatrix]] = []
     chunk = 4096
-    signs_of = lambda i: [1 - 2 * ((i >> k) & 1) for k in range(len(pairs))]
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        batch = np.broadcast_to(base, (stop - start, n, n)).copy()
+    for start in range(0, len(survivors), chunk):
+        indices = survivors[start : start + chunk]
+        batch = np.broadcast_to(base, (len(indices), n, n)).copy()
         for k, combo in enumerate(combos):
-            signs = np.array([1 - 2 * ((i >> k) & 1) for i in range(start, stop)])
+            signs = 1 - 2 * ((indices >> k) & 1)
             batch += signs[:, None, None] * combo
         batch = (batch + batch.conj().transpose(0, 2, 1)) / 2
-        min_eigs = np.linalg.eigvalsh(batch)[:, 0] if stop > start else np.array([])
-        for local, i in enumerate(range(start, stop)):
+        min_eigs = np.linalg.eigvalsh(batch)[:, 0]
+        for local, i in enumerate(indices.tolist()):
             if min_eigs[local] < -psd_tol:
                 continue
-            pattern = SignPattern({pair: s for pair, s in zip(pairs, signs_of(i))})
+            pattern = SignPattern({pair: 1 - 2 * ((i >> k) & 1) for k, pair in enumerate(pairs)})
             out.append((pattern, density_matrix(batch[local], tol=max(p.tol, 1e-8))))
     return out
 

@@ -54,11 +54,9 @@ class DensityMatrix:
 
 
 def _is_rational_entrywise(m: np.ndarray, tol: float, max_den: int) -> bool:
-    for part in (m.real, m.imag):
-        for x in part.ravel():
-            if rational_approx(float(x), max_den, tol) is None:
-                return False
-    return True
+    # a Hermitian matrix repeats most of its entries: test each value once
+    values = dict.fromkeys(m.real.ravel().tolist() + m.imag.ravel().tolist())
+    return all(rational_approx(x, max_den, tol) is not None for x in values)
 
 
 def density_matrix(

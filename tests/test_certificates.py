@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from qwalk import (
     squarefree_part,
     vertex_state,
 )
+
+from qwalk.certificates import _limit_denominator
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -75,6 +78,19 @@ def test_rational_approx_recovers_exact_fractions(p, q):
     assert r is not None
     # floating division may round, but the recovered fraction matches it
     assert abs(r.p / r.q - p / q) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.fractions(max_denominator=10**5).map(float),
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_limit_denominator_matches_fractions(x, max_den):
+    """The integer continued fraction behind rational_approx picks the same
+    fraction as Fraction.limit_denominator, ties included."""
+    want = Fraction(x).limit_denominator(max_den)
+    assert _limit_denominator(x, max_den) == (want.numerator, want.denominator)
 
 
 # -- square-free parts ----------------------------------------------------------
