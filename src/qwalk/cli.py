@@ -291,8 +291,10 @@ def _vertex_block_products(d, support, a: int) -> tuple[float, float]:
     keep[tuple(zip(*support.pairs))] = True
 
     def outer(mask):
-        # largest ||u_r|| over (r, s) in the mask, by s; and ||u_l|| over (k, l), by k
-        return np.where(mask, norms[:, None], 0.0).max(axis=0), np.where(mask, norms, 0.0).max(axis=1)
+        # by s, the largest ||u_r|| over (r, s) in the mask; by k, over (k, l)
+        left = np.where(mask, norms[:, None], 0.0).max(axis=0)
+        right = np.where(mask, norms[None, :], 0.0).max(axis=1)
+        return left, right
 
     left, right = outer(keep)
     products = left[:, None] * gram * right[None, :]

@@ -117,11 +117,10 @@ def _states_on_groups(d, groups, rng):
     cols = np.concatenate([np.arange(d.bounds[g], d.bounds[g + 1]) for g in groups])
     v = d.vectors[:, cols]
     real = v @ rng.normal(size=len(cols))
-    z = v @ (rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols)))
-    w = v @ (rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols)))
-    unit = lambda y: y / np.linalg.norm(y)
-    mixed = (np.outer(unit(z), unit(z).conj()) + np.outer(unit(w), unit(w).conj())) / 2
-    return [pure_state(unit(real)), pure_state(unit(z)), density_matrix(mixed)]
+    z, w = (v @ (rng.normal(size=(len(cols), 2)) + 1j * rng.normal(size=(len(cols), 2)))).T
+    z, w, real = (y / np.linalg.norm(y) for y in (z, w, real))
+    mixed = (np.outer(z, z.conj()) + np.outer(w, w.conj())) / 2
+    return [pure_state(real), pure_state(z), density_matrix(mixed)]
 
 
 def test_pruned_patterns_match_the_exhaustive_list_on_random_graphs():
@@ -191,8 +190,12 @@ def test_witness_cites_support_pairs_against_a_non_integer_square():
             assert outcome.pair_a in pairs and outcome.pair_b in pairs
             diffs = {(r, s): float(d.theta[r] - d.theta[s]) for r, s in pairs}
             assert outcome.ratio == diffs[outcome.pair_a] / diffs[outcome.pair_b]
-            off = [pair for pair in pairs if abs(diffs[pair] ** 2 - round(diffs[pair] ** 2)) > 1e-7
-                   or round(diffs[pair] ** 2) < 1]
+            squares = {pair: diff**2 for pair, diff in diffs.items()}
+            off = [
+                pair
+                for pair in pairs
+                if abs(squares[pair] - round(squares[pair])) > 1e-7 or round(squares[pair]) < 1
+            ]
             if off:
                 assert outcome.pair_b == off[0]
                 cited += 1
