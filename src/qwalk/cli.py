@@ -169,7 +169,7 @@ def cmd_spectra(args) -> int:
         "mult": list(d.mult),
         "idempotent_checksums": [
             {"trace": float(np.trace(e).real), "frobenius": float(np.linalg.norm(e))}
-            for e in d.idempotents
+            for e in map(d.idempotent, range(d.m))
         ],
         "residuals": d.residuals(),
         "warnings": list(d.warnings),
@@ -260,12 +260,10 @@ def cmd_analyze(args) -> int:
             "root_of_unity": check.root_of_unity,
         }
     if "blocks" in cfg.emit:
+        pairs, norms = sorted(blocks.support.pairs), d.group_norms(blocks.p_hat)
         doc["blocks"] = {
-            "support": [[r, s] for r, s in sorted(blocks.blocks)],
-            "norms": {
-                f"{r},{s}": float(np.linalg.norm(block))
-                for (r, s), block in sorted(blocks.blocks.items())
-            },
+            "support": [[r, s] for r, s in pairs],
+            "norms": {f"{r},{s}": float(norms[r, s]) for r, s in pairs},
         }
     if "scan" in cfg.emit:
         h = d.source
@@ -284,7 +282,7 @@ def _vertex_block_products(d, support, a: int) -> tuple[float, float]:
     x = V* e_a, so ||B_rs B_kl||_F = ||u_r|| |<u_s, u_k>| ||u_l||: the m x m
     Gram matrix of the u_r holds every product, and no block is formed.
     """
-    u = np.add.reduceat(d.vectors * d.vectors[a].conj(), d.bounds[:-1], axis=1)
+    u = d.columns([a])[:, :, 0].T
     gram = np.abs(u.conj().T @ u)
     norms = np.sqrt(gram.diagonal())
     keep = np.zeros((d.m, d.m), dtype=bool)
@@ -389,11 +387,8 @@ def _verify_graph_invariants(x, d, cfg: RunConfig, rng) -> list[dict]:
         add("oriented.eigenvalue_bound", max(0.0, float(np.abs(d.theta).max()) - stats.max_valency), cfg.tol)
         pairing = 0.0
         for r, theta in enumerate(d.theta):
-            partner = int(np.argmin(np.abs(d.theta + theta)))
-            pairing = max(
-                pairing,
-                float(np.linalg.norm(d.idempotents[partner] - d.idempotents[r].conj())),
-            )
+            partner = d.idempotent(int(np.argmin(np.abs(d.theta + theta))))
+            pairing = max(pairing, float(np.linalg.norm(partner - d.idempotent(r).conj())))
         add("oriented.conjugate_idempotent_pairing", pairing, n * max(cfg.tol, 1e-9) * 10)
     return checks
 

@@ -23,12 +23,7 @@ from .certificates import (
     ratio_condition,
 )
 from .graphs import Graph, OrientedGraph, graph_stats
-from .spectral import (
-    SpectralDecomposition,
-    eigenvalue_support_indices,
-    transition_batch,
-    transition_matrix,
-)
+from .spectral import SpectralDecomposition, eigenvalue_support_indices, transition_matrix
 from .states import (
     BlockDecomposition,
     DensityMatrix,
@@ -209,6 +204,15 @@ def verify_transfer(p: DensityMatrix, q: DensityMatrix, d: SpectralDecomposition
     return float(np.linalg.norm(u @ p.matrix @ u.conj().T - q.matrix))
 
 
+def _sign_matrices(patterns: np.ndarray, placed, mult) -> np.ndarray:
+    """Each pattern's sign matrix, with block a spanning mult[a] rows and columns:
+    bit k flips the blocks (a, c) and (c, a) for each (k, a, c) in `placed`."""
+    signs = np.ones((len(patterns), len(mult), len(mult)))
+    for k, a, c in placed:
+        signs[:, a, c] = signs[:, c, a] = 1 - 2 * ((patterns >> k) & 1)
+    return np.repeat(np.repeat(signs, mult, axis=1), mult, axis=2)
+
+
 def _pruned_sign_patterns(b: BlockDecomposition, pairs, floor: float) -> np.ndarray:
     """Indices of the sign patterns whose leading sub-blocks all stay PSD.
 
@@ -240,10 +244,7 @@ def _pruned_sign_patterns(b: BlockDecomposition, pairs, floor: float) -> np.ndar
         live = []
         for start in range(0, len(patterns), chunk):
             part = patterns[start : start + chunk]
-            signs = np.ones((len(part), j + 1, j + 1))
-            for k, a, c in placed:
-                signs[:, a, c] = signs[:, c, a] = 1 - 2 * ((part >> k) & 1)
-            signs = np.repeat(np.repeat(signs, mult[: j + 1], axis=1), mult[: j + 1], axis=2)
+            signs = _sign_matrices(part, placed, mult[: j + 1])
             live.append(part[np.linalg.eigvalsh(signs * sub)[:, 0] >= -floor])
         patterns = np.concatenate(live)
     return np.sort(patterns)
@@ -268,24 +269,13 @@ def pgst_candidates(
     if len(pairs) > pair_cap:
         raise EnumerationCapExceeded(2 ** len(pairs))
     survivors = _pruned_sign_patterns(b, pairs, psd_tol + 1e-12)
-    n = b.n
-    base = np.zeros((n, n), dtype=complex)
-    for r, s in b.blocks:
-        if r == s:
-            base += b.blocks[(r, s)]
-    combos = []
-    for r, s in pairs:
-        combo = b.blocks[(r, s)] + b.blocks.get((s, r), b.blocks[(r, s)].conj().T)
-        combos.append(combo)
-
+    v, placed = d.vectors, [(k, r, s) for k, (r, s) in enumerate(pairs)]
     out: list[tuple[SignPattern, DensityMatrix]] = []
-    chunk = 4096
+    chunk = max(1, _CHUNK_BYTES // (16 * b.n * b.n))
     for start in range(0, len(survivors), chunk):
         indices = survivors[start : start + chunk]
-        batch = np.broadcast_to(base, (len(indices), n, n)).copy()
-        for k, combo in enumerate(combos):
-            signs = 1 - 2 * ((indices >> k) & 1)
-            batch += signs[:, None, None] * combo
+        # the candidate of a pattern is V (S o P^) V* for its sign matrix S
+        batch = v @ (_sign_matrices(indices, placed, d.mult) * b.p_hat) @ v.conj().T
         batch = (batch + batch.conj().transpose(0, 2, 1)) / 2
         min_eigs = np.linalg.eigvalsh(batch)[:, 0]
         for local, i in enumerate(indices.tolist()):
@@ -341,8 +331,9 @@ def pgst_witness_search(
 ) -> BestTransfer:
     """Best transfer time found on [0, t_max]; a semi-decision, never a proof.
 
-    Grid scan of ||U(t) P U(-t) - Q|| with local refinement.  The default
-    step follows the certified period when one exists, else 1e-2.
+    Grid scan of ||U(t) P U(-t) - Q||, scored in the eigenbasis, with local
+    refinement.  The default step follows the certified period when one
+    exists, else 1e-2.
     """
     _check_t_max(t_max)
     if step is None:
@@ -356,11 +347,14 @@ def pgst_witness_search(
                         step = min(1e-2, minimum_period(outcome) / 64.0)
             except ValueError:
                 pass
-    pm, qm = p.matrix, q.matrix
+    # ||U P U* - Q|| = ||Phi(t) o P^ - Q^|| with P^ = V* P V, Q^ = V* Q V and
+    # Phi_ij = exp(i t (lam_i - lam_j)), so each time costs O(n^2)
+    v, lam = d.vectors, np.repeat(d.theta, d.mult)
+    p_hat, q_hat = (v.conj().T @ x.matrix @ v for x in (p, q))
 
     def value_fn(ts):
-        u = transition_batch(d, ts)
-        return np.linalg.norm(u @ pm @ u.conj().transpose(0, 2, 1) - qm, axis=(1, 2))
+        e = np.exp(1j * np.multiply.outer(ts, lam))
+        return np.linalg.norm(e[:, :, None] * p_hat * e[:, None, :].conj() - q_hat, axis=(1, 2))
 
     steps = max(2, int(math.ceil(t_max / step)))
     values, refined, floor = _scan_spectral(value_fn, d, t_max, steps, 10 * accept_tol)
@@ -390,7 +384,7 @@ def _column_probabilities(d: SpectralDecomposition, columns):
     one (-iS) U(t) = exp(tS) is real, U = [cos, -sin] [Re E; Im E].  Any other
     Hermitian source keeps one complex product.
     """
-    e = d.idempotents[:, :, columns].reshape(d.m, -1)
+    e = d.columns(columns).reshape(d.m, -1)
     if not d.source.imag.any():
         er = np.ascontiguousarray(e.real)
 
@@ -585,21 +579,16 @@ def transfer_sign_pattern(
 
     Diagonal pairs must carry +1; used to validate detected transfer targets.
     """
-    bp = block_decompose(p, d)
-    bq = block_decompose(q, d)
-    if set(bp.blocks) != set(bq.blocks):
+    bp, bq = block_decompose(p, d), block_decompose(q, d)
+    if bp.support.pairs != bq.support.pairs:
         return None
+    # ||E_r (Q -+ P) E_s|| is the norm of the (r, s) sub-block of Q^ -+ P^
+    same, flipped = d.group_norms(bq.p_hat - bp.p_hat), d.group_norms(bq.p_hat + bp.p_hat)
     signs = {}
-    for (r, s), block_p in bp.blocks.items():
-        block_q = bq.blocks[(r, s)]
-        if r == s:
-            if np.linalg.norm(block_q - block_p) > tol:
-                return None
+    for r, s in sorted(bp.support.pairs):
+        if same[r, s] <= tol:
             signs[(r, s)] = 1
-            continue
-        if np.linalg.norm(block_q - block_p) <= tol:
-            signs[(r, s)] = 1
-        elif np.linalg.norm(block_q + block_p) <= tol:
+        elif r != s and flipped[r, s] <= tol:
             signs[(r, s)] = -1
         else:
             return None

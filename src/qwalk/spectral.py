@@ -2,15 +2,16 @@
 
 Real symmetric adjacency matrices and the Hermitian matrices -iS of oriented
 graphs are both handled here; every downstream operation works off the same
-SpectralDecomposition.  Its working form is the grouped eigenvectors V: the
-columns of group r are V_r = vectors[:, bounds[r]:bounds[r + 1]], and
-E_r = V_r V_r*.
+SpectralDecomposition.  Its only stored form is the grouped eigenvectors V:
+the columns of group r are V_r = vectors[:, bounds[r]:bounds[r + 1]], and
+E_r = V_r V_r* is formed from them where it is read.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +37,15 @@ def max_n() -> int:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (decreasing) with orthogonal projection idempotents."""
+    """Distinct eigenvalues (decreasing) with their grouped orthonormal eigenvectors.
+
+    Group r holds the columns V_r = vectors[:, bounds[r]:bounds[r + 1]], and
+    its idempotent E_r = V_r V_r* is formed only where it is read: one group
+    at a time (`idempotent`), a few columns of every group (`columns`), or
+    the whole (m, n, n) stack (`idempotents`), which is built on first read.
+    """
 
     theta: np.ndarray  # (m,) strictly decreasing
-    idempotents: np.ndarray  # (m, n, n) Hermitian projectors
     mult: tuple[int, ...]
     vectors: np.ndarray  # (n, n) eigenvectors, columns grouped by decreasing theta
     bounds: tuple[int, ...]  # group r is vectors[:, bounds[r]:bounds[r + 1]]
@@ -55,6 +61,30 @@ class SpectralDecomposition:
     def m(self) -> int:
         return len(self.theta)
 
+    @cached_property
+    def idempotents(self) -> np.ndarray:
+        """The (m, n, n) stack of the E_r, built when first read."""
+        stack = self.columns(slice(None))
+        stack.setflags(write=False)
+        return stack
+
+    def idempotent(self, r: int) -> np.ndarray:
+        """E_r = V_r V_r*, as one n x n matrix."""
+        vr = self.vectors[:, self.bounds[r] : self.bounds[r + 1]]
+        return vr @ vr.conj().T
+
+    def columns(self, cols) -> np.ndarray:
+        """(m, n, k) stack of E_r[:, cols] = V_r V_r[cols]* for k index columns."""
+        v, picked = self.vectors, self.vectors[cols]
+        out = np.empty((self.m, self.n, picked.shape[0]), dtype=complex)
+        for r, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
+            out[r] = v[:, lo:hi] @ picked[:, lo:hi].conj().T
+        return out
+
+    def phased(self, t: float) -> np.ndarray:
+        """W = V diag(exp(i t theta)): each column times the phase of its group."""
+        return self.vectors * np.exp(1j * t * np.repeat(self.theta, self.mult))
+
     def group_norms(self, x: np.ndarray) -> np.ndarray:
         """(m, m) Frobenius norms of the (r, s) sub-blocks of an n x n matrix."""
         starts = self.bounds[:-1]
@@ -64,36 +94,32 @@ class SpectralDecomposition:
     def residuals(self) -> dict[str, float]:
         """Numerical defects of the defining identities, for verification.
 
-        Orthogonality is read from one Gram matrix G = V*V - I: since
-        E_r E_s - delta_rs E_r = V_r G_rs V_s*, the largest sub-block norm
-        ||G_rs||_F equals the largest ||E_r E_s - delta_rs E_r||_F up to a
-        factor (1 + ||G||_2)^2, without forming any of the m^2 products.
+        All but the Hermitian defect, which forms one E_r at a time, come from
+        V: completeness ||VV* - I||, reconstruction ||H - V diag(theta) V*||,
+        and tr E_r as the Gram diagonal summed over group r.  Orthogonality
+        reads G = V*V - I: as E_r E_s - delta_rs E_r = V_r G_rs V_s*, the
+        largest ||G_rs||_F is the largest ||E_r E_s - delta_rs E_r||_F up to
+        a factor (1 + ||G||_2)^2, and none of the m^2 products is formed.
         """
-        ident = np.eye(self.n)
-        completeness = float(np.linalg.norm(self.idempotents.sum(axis=0) - ident))
-        v = self.vectors
-        gram = v.conj().T @ v - ident
-        orth = float(self.group_norms(gram).max()) if self.m else 0.0
-        recon = float(
-            np.linalg.norm(self.source - np.einsum("r,rij->ij", self.theta, self.idempotents))
-        )
-        herm = max(
-            float(np.linalg.norm(e - e.conj().T)) for e in self.idempotents
-        )
-        mult_gap = max(
-            abs(float(np.trace(e).real) - k) for e, k in zip(self.idempotents, self.mult)
-        )
+        v, ident = self.vectors, np.eye(self.n)
+        gram = v.conj().T @ v
+        traces = np.add.reduceat(gram.diagonal().real, self.bounds[:-1]) if self.m else ()
+        herm = 0.0
+        for r in range(self.m):
+            e = self.idempotent(r)
+            herm = max(herm, float(np.linalg.norm(e - e.conj().T)))
+        recon = self.source - (v * np.repeat(self.theta, self.mult)) @ v.conj().T
         return {
-            "completeness": completeness,
-            "orthogonality": orth,
-            "reconstruction": recon,
+            "completeness": float(np.linalg.norm(v @ v.conj().T - ident)),
+            "orthogonality": float(self.group_norms(gram - ident).max()) if self.m else 0.0,
+            "reconstruction": float(np.linalg.norm(recon)),
             "hermitian_idempotents": herm,
-            "multiplicity": mult_gap,
+            "multiplicity": max((abs(float(t) - k) for t, k in zip(traces, self.mult)), default=0.0),
         }
 
 
 def spectral_decompose(h: np.ndarray, tol: float = DEFAULT_GROUPING_TOL) -> SpectralDecomposition:
-    """Group the eigenvalues of a Hermitian matrix and form the projectors.
+    """Group the eigenvalues of a Hermitian matrix and their eigenvectors.
 
     Two raw eigenvalues share a group iff their gap is at most
     tol * max(1, ||H||); gaps within a factor 10 of that threshold are
@@ -136,15 +162,11 @@ def spectral_decompose(h: np.ndarray, tol: float = DEFAULT_GROUPING_TOL) -> Spec
     mult = tuple(len(idx) for idx in groups)
     bounds = tuple(int(b) for b in np.cumsum((0,) + mult))
     theta_arr = np.array([float(raw[idx].mean()) for idx in groups])
-    idem_arr = np.zeros((len(groups), n, n), dtype=complex)
-    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        idem_arr[r] = grouped[:, lo:hi] @ grouped[:, lo:hi].conj().T
     src = hs.copy()
-    for arr in (theta_arr, idem_arr, grouped, src):
+    for arr in (theta_arr, grouped, src):
         arr.setflags(write=False)
     return SpectralDecomposition(
         theta=theta_arr,
-        idempotents=idem_arr,
         mult=mult,
         vectors=grouped,
         bounds=bounds,
@@ -165,15 +187,8 @@ def decompose_oriented(x: OrientedGraph, tol: float = DEFAULT_GROUPING_TOL) -> S
 
 
 def transition_matrix(d: SpectralDecomposition, t: float) -> np.ndarray:
-    """U(t) = sum_r exp(i t theta_r) E_r."""
-    phases = np.exp(1j * t * d.theta)
-    return np.einsum("r,rij->ij", phases, d.idempotents)
-
-
-def transition_batch(d: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
-    """Stack of U(t) for an array of times, as one (times, m) x (m, n^2) product."""
-    phases = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), d.theta))
-    return (phases @ d.idempotents.reshape(d.m, d.n * d.n)).reshape(-1, d.n, d.n)
+    """U(t) = sum_r exp(i t theta_r) E_r = W V* with W = V diag(exp(i t theta))."""
+    return d.phased(t) @ d.vectors.conj().T
 
 
 @dataclass(frozen=True)
@@ -193,8 +208,7 @@ def vertex_spectral_relation(
     """
     if a == b:
         raise ValueError("vertices must be distinct")
-    cols_a = d.idempotents[:, :, a]
-    cols_b = d.idempotents[:, :, b]
+    cols_a, cols_b = np.moveaxis(d.columns([a, b]), 2, 0)
     norms_a = np.linalg.norm(cols_a, axis=1)
     norms_b = np.linalg.norm(cols_b, axis=1)
     if np.abs(norms_a - norms_b).max() > tol:
@@ -239,5 +253,5 @@ def eigenvalue_support_indices(d: SpectralDecomposition, a: int, tol: float = 1e
     """Indices r with E_r e_a != 0 (the eigenvalue support of vertex a)."""
     if not (0 <= a < d.n):
         raise ValueError("vertex index out of range")
-    norms = np.linalg.norm(d.idempotents[:, :, a], axis=1)
+    norms = np.linalg.norm(d.columns([a])[:, :, 0], axis=1)
     return tuple(int(r) for r in np.nonzero(norms > tol)[0])

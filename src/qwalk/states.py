@@ -220,8 +220,7 @@ def evolve(b: BlockDecomposition, t: float) -> DensityMatrix:
 
     As W P^ W* with W = V diag(exp(i t theta)), so it costs two n x n products.
     """
-    d = b.decomposition
-    w = d.vectors * np.exp(1j * t * np.repeat(d.theta, d.mult))
+    w = b.decomposition.phased(t)
     out = w @ b.p_hat @ w.conj().T
     out = (out + out.conj().T) / 2
     return density_matrix(out, tol=max(b.state.tol, 1e-8))
