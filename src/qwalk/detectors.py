@@ -297,25 +297,111 @@ def _check_t_max(t_max: float) -> None:
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
 
 
+def _phases(ts, theta) -> tuple[np.ndarray, np.ndarray]:
+    """cos(t theta) and sin(t theta) for a slice of times, as two (len(ts), m) arrays."""
+    angles = np.multiply.outer(ts, theta)
+    return np.cos(angles), np.sin(angles)
+
+
+class _RotatedPhases:
+    """The phases of a grid too long for one slice, with no trigonometry per point.
+
+    Grid index i = k * chunk + j is taken as ts[k * chunk] + ts[j]: the first
+    slice's cos and sin are rotated by the angle-sum formulas through the
+    angle ts[k * chunk] theta.  That angle's cos and sin are computed afresh
+    for every slice k, never chained from the slice before, so rounding does
+    not build up along the grid.  `slices` and `rows` do the same arithmetic,
+    so a point reads the same phases either way.
+    """
+
+    def __init__(self, ts: np.ndarray, theta: np.ndarray, chunk: int):
+        self.size, self.chunk = len(ts), chunk
+        self.cos, self.sin = _phases(ts[:chunk], theta)
+        self.start_cos, self.start_sin = _phases(ts[::chunk], theta)
+
+    def _rotate(self, j, k):
+        c, s, c0, s0 = self.cos[j], self.sin[j], self.start_cos[k], self.start_sin[k]
+        return c * c0 - s * s0, s * c0 + c * s0
+
+    def slices(self):
+        """(cos, sin) of each slice of at most `chunk` consecutive grid points."""
+        for k, lo in enumerate(range(0, self.size, self.chunk)):
+            yield self._rotate(slice(0, min(self.chunk, self.size - lo)), k)
+
+    def rows(self, idx: np.ndarray):
+        """(cos, sin) at the given grid indices."""
+        k, j = np.divmod(idx, self.chunk)
+        return self._rotate(j, k)
+
+
+# Allowance for rounding when a screen's lower bound and the objective read the
+# same matrix entry by different sums; both lie in [0, 1].
+_SCREEN_SLACK = 1e-12
+
+
+def _screened_values(value_fn, bound_fn, phases: _RotatedPhases, cutoff: float) -> np.ndarray:
+    """Grid values of value_fn wherever they can matter, bound_fn's lower bound elsewhere.
+
+    The bound is scored on the whole grid.  value_fn then replaces it
+    best-first, in increasing order of the bound, in batches that double from
+    one point up to one slice, until the next bound exceeds max(cutoff, least
+    value found).  Every point left at its bound lies above that threshold, so
+    it is neither the global minimum nor a minimum worth zooming, and it reads
+    higher than any such minimum next to it: `timescan.scan_minima` zooms the
+    same minima as on the fully evaluated grid.
+    """
+    values = np.concatenate([bound_fn(c, s) for c, s in phases.slices()])
+    order = np.argsort(values, kind="stable")
+    ranked = values[order] - _SCREEN_SLACK
+    least, done, batch = math.inf, 0, 1
+    while done < len(order) and ranked[done] <= max(cutoff, least):
+        stop = min(done + batch, int(np.searchsorted(ranked, max(cutoff, least), side="right")))
+        idx = order[done:stop]
+        exact = value_fn(*phases.rows(idx))
+        values[idx] = exact
+        least = min(least, float(exact.min()))
+        done, batch = stop, min(2 * batch, phases.chunk)
+    return values
+
+
 def _scan_spectral(
-    value_fn, d: SpectralDecomposition, t_max: float, steps: int, refine_below: float, **record
+    value_fn,
+    d: SpectralDecomposition,
+    t_max: float,
+    steps: int,
+    refine_below: float,
+    bound_fn=None,
+    **record,
 ):
     """Sample value_fn at steps + 1 times spanning [0, t_max] and refine its minima.
 
-    The grid is evaluated in slices of at most _CHUNK_BYTES // (16 n^2) times;
-    `record` goes on to `timescan.scan_minima`.  Returns the grid values, the
-    recorded minima and the floor.
+    value_fn maps (cos(t theta), sin(t theta)), two (k, m) arrays, to k
+    values.  The grid is evaluated in slices of at most _CHUNK_BYTES // (16 n^2)
+    times.  When it needs more than one slice, the slices after the first get
+    their phases by rotation (`_RotatedPhases`), and a given `bound_fn`, a
+    cheaper lower bound on value_fn, screens the grid (`_screened_values`):
+    the returned grid values are then lower bounds wherever they exceed the
+    zoom cutoff and the least value found.  Zooming always evaluates value_fn
+    on fresh cos and sin.  `record` goes on to `timescan.scan_minima`.
+    Returns the grid values, the recorded minima and the floor.
     """
     _check_t_max(t_max)
     ts = np.linspace(0.0, t_max, steps + 1)
     chunk = max(1, _CHUNK_BYTES // (16 * max(d.n, 1) ** 2))
-    values = np.concatenate([value_fn(ts[k : k + chunk]) for k in range(0, len(ts), chunk)])
     slope = 2.0 * float(np.abs(d.theta).max()) if d.m else 0.0
+    cutoff = max(refine_below, 2.0 * slope * (ts[1] - ts[0]))
+    if len(ts) <= chunk:
+        values = value_fn(*_phases(ts, d.theta))
+    elif bound_fn is None:
+        phases = _RotatedPhases(ts, d.theta, chunk)
+        values = np.concatenate([value_fn(c, s) for c, s in phases.slices()])
+    else:
+        values = _screened_values(value_fn, bound_fn, _RotatedPhases(ts, d.theta, chunk), cutoff)
     minima, floor = scan_minima(
         ts,
         values,
-        lambda lo, step, count: value_fn(lo + step * np.arange(count)),
-        max(refine_below, 2.0 * slope * (ts[1] - ts[0])),
+        lambda lo, step, count: value_fn(*_phases(lo + step * np.arange(count), d.theta)),
+        cutoff,
         **record,
     )
     return values, minima, floor
@@ -349,11 +435,11 @@ def pgst_witness_search(
                 pass
     # ||U P U* - Q|| = ||Phi(t) o P^ - Q^|| with P^ = V* P V, Q^ = V* Q V and
     # Phi_ij = exp(i t (lam_i - lam_j)), so each time costs O(n^2)
-    v, lam = d.vectors, np.repeat(d.theta, d.mult)
+    v = d.vectors
     p_hat, q_hat = (v.conj().T @ x.matrix @ v for x in (p, q))
 
-    def value_fn(ts):
-        e = np.exp(1j * np.multiply.outer(ts, lam))
+    def value_fn(c, s):
+        e = np.repeat(c + 1j * s, d.mult, axis=1)
         return np.linalg.norm(e[:, :, None] * p_hat * e[:, None, :].conj() - q_hat, axis=(1, 2))
 
     steps = max(2, int(math.ceil(t_max / step)))
@@ -375,22 +461,21 @@ def _is_oriented(d: SpectralDecomposition) -> bool:
     return bool(d.source.imag.any() and not d.source.real.any())
 
 
-def _column_probabilities(d: SpectralDecomposition, columns):
-    """A function of a slice of times giving |U(t)_ij|^2 for the given columns j.
+def _entry_probabilities(d: SpectralDecomposition, e: np.ndarray):
+    """A function of (cos(t theta), sin(t theta)) giving |U(t)_ij|^2 at chosen entries.
 
-    It returns a (len(ts), n * len(columns)) float array.  The branch follows
-    the exact structure of the source: for a real one every E_r is real, so
-    Re U = cos(t theta) E and Im U = sin(t theta) E; for a purely imaginary
-    one (-iS) U(t) = exp(tS) is real, U = [cos, -sin] [Re E; Im E].  Any other
-    Hermitian source keeps one complex product.
+    e is the (m, K) stack of E_r[i, j] at those K entries, and the function
+    returns a (k, K) float array.  The branch follows the exact structure of
+    the source: for a real one every E_r is real, so Re U = cos(t theta) E and
+    Im U = sin(t theta) E; for a purely imaginary one (-iS) U(t) = exp(tS) is
+    real, U = [cos, -sin] [Re E; Im E].  Any other Hermitian source keeps one
+    complex product.
     """
-    e = d.columns(columns).reshape(d.m, -1)
     if not d.source.imag.any():
         er = np.ascontiguousarray(e.real)
 
-        def probabilities(ts):
-            angles = np.multiply.outer(ts, d.theta)
-            re, im = np.cos(angles) @ er, np.sin(angles) @ er
+        def probabilities(c, s):
+            re, im = c @ er, s @ er
             re *= re
             im *= im
             re += im
@@ -399,42 +484,112 @@ def _column_probabilities(d: SpectralDecomposition, columns):
     elif _is_oriented(d):
         stacked = np.concatenate([e.real, e.imag])
 
-        def probabilities(ts):
-            angles = np.multiply.outer(ts, d.theta)
-            u = np.concatenate([np.cos(angles), -np.sin(angles)], axis=1) @ stacked
+        def probabilities(c, s):
+            u = np.concatenate([c, -s], axis=1) @ stacked
             u *= u
             return u
 
     else:
 
-        def probabilities(ts):
-            u = np.exp(1j * np.multiply.outer(ts, d.theta)) @ e
+        def probabilities(c, s):
+            u = (c + 1j * s) @ e
             return u.real**2 + u.imag**2
 
     return probabilities
 
 
+def _column_probabilities(d: SpectralDecomposition, columns):
+    """`_entry_probabilities` over every row of the given columns j, (k, n * len(columns))."""
+    return _entry_probabilities(d, d.columns(columns).reshape(d.m, -1))
+
+
+def _defect(probabilities, n: int):
+    """The largest |p - 1/n| per time over the entries that `probabilities` gives."""
+
+    def value_fn(c, s):
+        p = probabilities(c, s)
+        p -= 1.0 / n
+        return np.abs(p, out=p).max(axis=1)
+
+    return value_fn
+
+
+def _uniform_defect(d: SpectralDecomposition):
+    """max_ij | |U(t)_ij|^2 - 1/n | as a function of (cos(t theta), sin(t theta)).
+
+    While the whole (m, n, n) stack of the E_r fits in _CHUNK_BYTES it is
+    built once.  Beyond that the objective is read from the eigenvectors over
+    blocks of columns, the max taken across blocks: U(t) e_j = V (e^{it lam}
+    o conj V[j]) with lam the eigenvalues by multiplicity, so a block of b
+    columns is one (k b, n) x (n, n) product and holds 16 k b n bytes at most
+    _CHUNK_BYTES, with no stack formed (n = 512 would need 2 GiB).
+    """
+    n = d.n
+    if 16 * d.m * n * n <= _CHUNK_BYTES:
+        return _defect(_column_probabilities(d, slice(None)), n)
+    real = not d.vectors.imag.any()
+    v = d.vectors.real if real else d.vectors
+    vt = np.ascontiguousarray(v.T)
+
+    def value_fn(c, s):
+        k = len(c)
+        c, s = np.repeat(c, d.mult, axis=1)[:, None, :], np.repeat(s, d.mult, axis=1)[:, None, :]
+        width = max(1, _CHUNK_BYTES // (16 * k * n))
+        out = np.zeros(k)
+        for lo in range(0, n, width):
+            vj = v[lo : lo + width].conj()
+            if real:
+                # U(t) is symmetric, so entries (i, j) with i past this block
+                # are read as (j, i) in the block that holds column i
+                rows = vt[:, : lo + width]
+                p, im = (c * vj).reshape(-1, n) @ rows, (s * vj).reshape(-1, n) @ rows
+                p *= p
+                im *= im
+                p += im
+            else:
+                u = ((c + 1j * s) * vj).reshape(-1, n) @ vt
+                p = u.real**2 + u.imag**2
+            p -= 1.0 / n
+            np.maximum(out, np.abs(p, out=p).reshape(k, -1).max(axis=1), out=out)
+        return out
+
+    return value_fn
+
+
+def _screen_bound(d: SpectralDecomposition):
+    """The largest defect over the diagonal and column 0 of U(t), a lower bound
+    on `_uniform_defect` read from 2n of its n^2 entries."""
+    diagonal = np.add.reduceat(np.abs(d.vectors) ** 2, d.bounds[:-1], axis=1).T
+    column = d.columns([0]).reshape(d.m, -1)
+    return _defect(_entry_probabilities(d, np.concatenate([diagonal, column], axis=1)), d.n)
+
+
 def _mixing_report(
     d: SpectralDecomposition,
-    columns,
+    value_fn,
     t_max: float,
     flat_tol: float,
     grid_points: int,
     extra_warnings: tuple[str, ...],
+    bound_fn=None,
 ) -> DetectionReport:
-    """Scan the largest distance from 1/n of |U(t)_ij|^2 over the given columns j."""
-    probabilities = _column_probabilities(d, columns)
-    uniform = 1.0 / d.n
+    """Scan a flatness defect, value_fn of (cos(t theta), sin(t theta)), for a flat time.
 
-    def value_fn(ts):
-        p = probabilities(ts)
-        p -= uniform
-        return np.abs(p, out=p).max(axis=1)
-
+    Grids longer than one slice rotate their phases, and a given `bound_fn`
+    screens them (`_scan_spectral`); the zooms, and so every witness time and
+    residual, evaluate value_fn on fresh cos and sin.
+    """
     steps = max(64, int(grid_points))
     # the scan stops recording at the first flat time, which is the witness
     _, flat, floor = _scan_spectral(
-        value_fn, d, t_max, steps, 100 * flat_tol, record_below=flat_tol, max_records=1
+        value_fn,
+        d,
+        t_max,
+        steps,
+        100 * flat_tol,
+        bound_fn=bound_fn,
+        record_below=flat_tol,
+        max_records=1,
     )
     if flat:
         t, v = min(flat)
@@ -488,7 +643,8 @@ def detect_local_uniform_mixing(
             warnings.append(f"necessary-condition check: ratio condition fails; {kind}")
         else:
             warnings.append(f"necessary-condition check inconclusive: {outcome.reason}")
-    report = _mixing_report(d, [a], t_max, flat_tol, grid_points, tuple(warnings))
+    value_fn = _defect(_column_probabilities(d, [a]), d.n)
+    report = _mixing_report(d, value_fn, t_max, flat_tol, grid_points, tuple(warnings))
     if report.verdict == "yes" and oriented and any("fails" in w for w in warnings):
         report = DetectionReport(
             "inconclusive",
@@ -506,8 +662,15 @@ def detect_uniform_mixing(
     flat_tol: float = DEFAULT_FLAT_TOL,
     grid_points: int = DEFAULT_MIXING_GRID,
 ) -> DetectionReport:
-    """Is there one time at which every vertex state mixes uniformly?"""
-    return _mixing_report(d, slice(None), t_max, flat_tol, grid_points, ())
+    """Is there one time at which every vertex state mixes uniformly?
+
+    The objective is the largest defect over all n^2 entries of U(t).  On a
+    grid longer than one slice, with n >= 3, the largest defect over the
+    diagonal and column 0 screens it: the full objective is evaluated only
+    where that lower bound leaves a point that could matter to the scan.
+    """
+    bound_fn = _screen_bound(d) if 2 * d.n < d.n * d.n else None
+    return _mixing_report(d, _uniform_defect(d), t_max, flat_tol, grid_points, (), bound_fn)
 
 
 @dataclass(frozen=True)

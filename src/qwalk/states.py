@@ -255,7 +255,8 @@ def algebra_dimension(
     generators, then repeatedly left-multiply new basis elements by each
     generator until nothing is added, the dimension reaches n^2, or the word
     length exceeds the cap (default 2 n^2).  Controllable means the span is
-    the full matrix algebra.
+    the full matrix algebra.  Each candidate is projected off the basis by
+    classical Gram-Schmidt, run twice, as two matrix-vector products a pass.
     """
     h = np.asarray(h, dtype=complex)
     m = p.matrix if isinstance(p, DensityMatrix) else np.asarray(p, dtype=complex)
@@ -267,16 +268,22 @@ def algebra_dimension(
     if cap < n * n:
         raise ValueError("cap must be at least n^2")
 
-    basis: list[np.ndarray] = []  # orthonormal, flattened
+    basis = np.empty((4, n * n), dtype=complex)  # orthonormal rows; doubles when full
+    dim = 0
 
     def try_add(mat: np.ndarray) -> bool:
+        nonlocal basis, dim
         vec = mat.reshape(-1)
-        for b in basis:
-            vec = vec - np.vdot(b, vec) * b
+        for _ in range(2):
+            rows = basis[:dim]
+            vec = vec - (rows @ vec.conj()).conj() @ rows
         norm = float(np.linalg.norm(vec))
         if norm <= tol * max(1.0, float(np.linalg.norm(mat))):
             return False
-        basis.append(vec / norm)
+        if dim == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[dim] = vec / norm
+        dim += 1
         return True
 
     generators = (h, m)
@@ -285,7 +292,7 @@ def algebra_dimension(
         if try_add(seed):
             frontier.append(seed)
     words = 1
-    while frontier and len(basis) < n * n and words < cap:
+    while frontier and dim < n * n and words < cap:
         words += 1
         new_frontier = []
         for g in generators:
@@ -294,5 +301,4 @@ def algebra_dimension(
                 if try_add(candidate):
                     new_frontier.append(candidate)
         frontier = new_frontier
-    dim = len(basis)
     return AlgebraReport(dim=dim, controllable=dim == n * n, stabilized=not frontier or dim == n * n)

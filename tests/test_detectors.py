@@ -374,15 +374,17 @@ FLUX_TRIANGLE = np.array(
     [path_graph(5), star_graph(3), ORIENTED_C5, FLUX_TRIANGLE],
     ids=["P5", "K13", "oriented-C5", "flux-triangle"],
 )
-def test_column_probabilities_match_transition_batch(source, decomp):
-    """All three branches (real, -iS, complex Hermitian) give |U(t)_ij|^2,
-    against the dense exponential of the decomposed matrix."""
+def test_column_probabilities_match_the_dense_exponential(source, decomp):
+    """All three branches (real, -iS, complex Hermitian) give |U(t)_ij|^2 from
+    (cos(t theta), sin(t theta)), against the dense exponential of the
+    decomposed matrix."""
     d = spectral_decompose(source) if isinstance(source, np.ndarray) else decomp(source)
     ts = np.linspace(0.0, 9.0, 257)
+    phases = qwalk.detectors._phases(ts, d.theta)
     expected = np.abs(np.array([dense_expm(1j * t * d.source) for t in ts])) ** 2
-    every = qwalk.detectors._column_probabilities(d, slice(None))(ts)
+    every = qwalk.detectors._column_probabilities(d, slice(None))(*phases)
     assert np.abs(every - expected.reshape(len(ts), -1)).max() <= 1e-13
-    one = qwalk.detectors._column_probabilities(d, [d.n - 1])(ts)
+    one = qwalk.detectors._column_probabilities(d, [d.n - 1])(*phases)
     assert np.abs(one - expected[:, :, -1]).max() <= 1e-13
 
 

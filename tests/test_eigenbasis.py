@@ -319,5 +319,6 @@ def test_witness_objective_matches_the_dense_conjugation(monkeypatch):
         for p, q in [(states[0], states[1]), (states[2], states[0]), (mixed, maximally_mixed(n))]:
             best = pgst_witness_search(p, q, d, t_max=3.0)
             want = [_dense_transfer_residual(p, q, d.source, t) for t in ts]
-            assert np.abs(scored[-1](ts) - want).max() <= 1e-12
+            got = scored[-1](*qwalk.detectors._phases(ts, d.theta))
+            assert np.abs(got - want).max() <= 1e-12
             assert abs(_dense_transfer_residual(p, q, d.source, best.t) - best.residual) <= 1e-12

@@ -209,6 +209,62 @@ def test_algebra_dimension_p3_center_not_full(p3):
     assert report.dim == 5  # commutant of the end-swap symmetry has dimension 5
 
 
+def _one_vector_closure(h, m, tol: float = 1e-10) -> tuple[int, bool, bool]:
+    """algebra_dimension's closure, projecting each candidate off the basis
+    one vector at a time (modified Gram-Schmidt, one pass)."""
+    n = h.shape[0]
+    basis = []
+
+    def try_add(mat):
+        vec = mat.reshape(-1)
+        for b in basis:
+            vec = vec - np.vdot(b, vec) * b
+        norm = float(np.linalg.norm(vec))
+        if norm <= tol * max(1.0, float(np.linalg.norm(mat))):
+            return False
+        basis.append(vec / norm)
+        return True
+
+    frontier = [x for x in (np.eye(n, dtype=complex), h, m) if try_add(x)]
+    words = 1
+    while frontier and len(basis) < n * n and words < 2 * n * n:
+        words += 1
+        frontier = [g @ b for g in (h, m) for b in frontier if try_add(g @ b)]
+    dim = len(basis)
+    return dim, dim == n * n, not frontier or dim == n * n
+
+
+def test_algebra_dimension_matches_the_one_vector_closure():
+    """Every vertex of the atlas graphs on 3-5 vertices, vertices and
+    two-vertex states of seeded plain and oriented G(8, 0.4), and vertex 0 of
+    the 9-vertex graph whose weak group the closure drops (dim 74)."""
+    from conftest import random_graph, random_orientation
+
+    nx = pytest.importorskip("networkx")
+    from qwalk import Graph, skew_adjacency
+
+    cases = []
+    for ag in nx.graph_atlas_g():
+        if 3 <= ag.number_of_nodes() <= 5 and ag.number_of_edges():
+            g = Graph.from_edges(ag.number_of_nodes(), [tuple(sorted(e)) for e in ag.edges()])
+            h = g.adjacency().astype(complex)
+            cases += [(h, vertex_state(g.n, a).matrix) for a in range(g.n)]
+    rng = np.random.default_rng(9)
+    for _ in range(2):
+        g = random_graph(rng, 8, 0.4)
+        pair = pure_state((np.eye(8)[0] - np.eye(8)[5]) / np.sqrt(2)).matrix
+        for h in (g.adjacency().astype(complex), -1j * skew_adjacency(random_orientation(rng, g))):
+            cases += [(h, vertex_state(8, a).matrix) for a in (0, 3)] + [(h, pair)]
+    edges = [(0, 1), (0, 2), (0, 4), (0, 5), (0, 7), (1, 5), (1, 7), (2, 3), (2, 4), (2, 6)]
+    edges += [(3, 4), (3, 7), (3, 8), (4, 5), (4, 7), (5, 7), (5, 8), (6, 8), (7, 8)]
+    g9 = Graph.from_edges(9, edges).adjacency().astype(complex)
+    cases.append((g9, vertex_state(9, 0).matrix))
+    for h, m in cases:
+        got = algebra_dimension(h, m)
+        assert (got.dim, got.controllable, got.stabilized) == _one_vector_closure(h, m)
+    assert got.dim == 74
+
+
 def test_algebra_dimension_rejects_small_cap(k2):
     with pytest.raises(ValueError):
         algebra_dimension(k2.adjacency().astype(float), vertex_state(2, 0), cap=2)
