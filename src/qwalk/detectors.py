@@ -304,14 +304,15 @@ def _phases(ts, theta) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _RotatedPhases:
-    """The phases of a grid too long for one slice, with no trigonometry per point.
+    """The phases of a grid in slices, with no trigonometry per point past the first.
 
     Grid index i = k * chunk + j is taken as ts[k * chunk] + ts[j]: the first
     slice's cos and sin are rotated by the angle-sum formulas through the
     angle ts[k * chunk] theta.  That angle's cos and sin are computed afresh
     for every slice k, never chained from the slice before, so rounding does
-    not build up along the grid.  `slices` and `rows` do the same arithmetic,
-    so a point reads the same phases either way.
+    not build up along the grid.  `slices` hands out the first slice as
+    computed; `rows` rotates it by cos 0 = 1 and sin 0 = 0, which keeps its
+    bits, so a point reads the same phases either way.
     """
 
     def __init__(self, ts: np.ndarray, theta: np.ndarray, chunk: int):
@@ -325,7 +326,8 @@ class _RotatedPhases:
 
     def slices(self):
         """(cos, sin) of each slice of at most `chunk` consecutive grid points."""
-        for k, lo in enumerate(range(0, self.size, self.chunk)):
+        yield self.cos, self.sin
+        for k, lo in enumerate(range(self.chunk, self.size, self.chunk), 1):
             yield self._rotate(slice(0, min(self.chunk, self.size - lo)), k)
 
     def rows(self, idx: np.ndarray):
@@ -377,26 +379,30 @@ def _scan_spectral(
 
     value_fn maps (cos(t theta), sin(t theta)), two (k, m) arrays, to k
     values.  The grid is evaluated in slices of at most _CHUNK_BYTES // (16 n^2)
-    times.  When it needs more than one slice, the slices after the first get
-    their phases by rotation (`_RotatedPhases`), and a given `bound_fn`, a
-    cheaper lower bound on value_fn, screens the grid (`_screened_values`):
-    the returned grid values are then lower bounds wherever they exceed the
-    zoom cutoff and the least value found.  Zooming always evaluates value_fn
-    on fresh cos and sin.  `record` goes on to `timescan.scan_minima`.
-    Returns the grid values, the recorded minima and the floor.
+    times; the slices after the first get their phases by rotation
+    (`_RotatedPhases`).  A given `bound_fn`, a cheaper lower bound on
+    value_fn, screens the grid (`_screened_values`): the returned grid values
+    are then lower bounds wherever they exceed the zoom cutoff and the least
+    value found.  The grid values a report can carry, the two ends and every
+    minimum a zoom starts from, are then read again from direct cos and sin,
+    and zooming always evaluates value_fn on direct cos and sin, so no
+    reported value takes the rotation's rounding.  `record` goes on to
+    `timescan.scan_minima`.  Returns the grid values, the recorded minima and
+    the floor.
     """
     _check_t_max(t_max)
     ts = np.linspace(0.0, t_max, steps + 1)
-    chunk = max(1, _CHUNK_BYTES // (16 * max(d.n, 1) ** 2))
     slope = 2.0 * float(np.abs(d.theta).max()) if d.m else 0.0
     cutoff = max(refine_below, 2.0 * slope * (ts[1] - ts[0]))
-    if len(ts) <= chunk:
-        values = value_fn(*_phases(ts, d.theta))
-    elif bound_fn is None:
-        phases = _RotatedPhases(ts, d.theta, chunk)
+    phases = _RotatedPhases(ts, d.theta, max(1, _CHUNK_BYTES // (16 * max(d.n, 1) ** 2)))
+    if bound_fn is None:
         values = np.concatenate([value_fn(c, s) for c, s in phases.slices()])
     else:
-        values = _screened_values(value_fn, bound_fn, _RotatedPhases(ts, d.theta, chunk), cutoff)
+        values = _screened_values(value_fn, bound_fn, phases, cutoff)
+    inner = values[1:-1]
+    zoomed = np.nonzero((inner <= cutoff) & (inner <= values[:-2]) & (inner <= values[2:]))[0] + 1
+    idx = np.union1d([0, len(ts) - 1, int(values.argmin())], zoomed)
+    values[idx] = value_fn(*_phases(ts[idx], d.theta))
     minima, floor = scan_minima(
         ts,
         values,
@@ -518,11 +524,13 @@ def _uniform_defect(d: SpectralDecomposition):
     """max_ij | |U(t)_ij|^2 - 1/n | as a function of (cos(t theta), sin(t theta)).
 
     While the whole (m, n, n) stack of the E_r fits in _CHUNK_BYTES it is
-    built once.  Beyond that the objective is read from the eigenvectors over
-    blocks of columns, the max taken across blocks: U(t) e_j = V (e^{it lam}
-    o conj V[j]) with lam the eigenvalues by multiplicity, so a block of b
-    columns is one (k b, n) x (n, n) product and holds 16 k b n bytes at most
-    _CHUNK_BYTES, with no stack formed (n = 512 would need 2 GiB).
+    built once: one (k, m) x (m, n^2) product a batch reads the objective
+    two to eight times faster than the column blocks at n = 8-10.  Beyond
+    that the objective is read from the eigenvectors over blocks of columns,
+    the max taken across blocks: U(t) e_j = V (e^{it lam} o conj V[j]) with
+    lam the eigenvalues by multiplicity, so a block of b columns is one
+    (k b, n) x (n, n) product and holds 16 k b n bytes at most _CHUNK_BYTES,
+    with no stack formed (n = 512 would need 2 GiB).
     """
     n = d.n
     if 16 * d.m * n * n <= _CHUNK_BYTES:
@@ -575,9 +583,10 @@ def _mixing_report(
 ) -> DetectionReport:
     """Scan a flatness defect, value_fn of (cos(t theta), sin(t theta)), for a flat time.
 
-    Grids longer than one slice rotate their phases, and a given `bound_fn`
-    screens them (`_scan_spectral`); the zooms, and so every witness time and
-    residual, evaluate value_fn on fresh cos and sin.
+    The grid's slices rotate their phases, and a given `bound_fn` screens
+    the grid (`_scan_spectral`); the zooms and the grid values they start
+    from, and so every witness time and residual, evaluate value_fn on
+    direct cos and sin.
     """
     steps = max(64, int(grid_points))
     # the scan stops recording at the first flat time, which is the witness
@@ -664,10 +673,10 @@ def detect_uniform_mixing(
 ) -> DetectionReport:
     """Is there one time at which every vertex state mixes uniformly?
 
-    The objective is the largest defect over all n^2 entries of U(t).  On a
-    grid longer than one slice, with n >= 3, the largest defect over the
-    diagonal and column 0 screens it: the full objective is evaluated only
-    where that lower bound leaves a point that could matter to the scan.
+    The objective is the largest defect over all n^2 entries of U(t).  With
+    n >= 3 the largest defect over the diagonal and column 0 screens it: the
+    full objective is evaluated only where that lower bound leaves a point
+    that could matter to the scan.
     """
     bound_fn = _screen_bound(d) if 2 * d.n < d.n * d.n else None
     return _mixing_report(d, _uniform_defect(d), t_max, flat_tol, grid_points, (), bound_fn)

@@ -268,7 +268,8 @@ def algebra_dimension(
     if cap < n * n:
         raise ValueError("cap must be at least n^2")
 
-    basis = np.empty((4, n * n), dtype=complex)  # orthonormal rows; doubles when full
+    # orthonormal rows; doubles when full, up to the n^2 rows it can ever hold
+    basis = np.empty((min(4, n * n), n * n), dtype=complex)
     dim = 0
 
     def try_add(mat: np.ndarray) -> bool:
@@ -281,7 +282,9 @@ def algebra_dimension(
         if norm <= tol * max(1.0, float(np.linalg.norm(mat))):
             return False
         if dim == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis)])
+            grown = np.empty((min(2 * dim, n * n), n * n), dtype=complex)
+            grown[:dim] = basis
+            basis = grown
         basis[dim] = vec / norm
         dim += 1
         return True

@@ -76,6 +76,24 @@ def test_rotated_phases_match_direct_trigonometry(t_max):
     assert np.array_equal(rc, c[idx]) and np.array_equal(rs, s[idx])
 
 
+def test_reported_grid_values_take_direct_trigonometry():
+    """At t_max = 600 the rotated grid drifts from direct cos and sin by
+    more than 1e-13, yet the grid values a report can carry, the two ends
+    and each minimum a zoom starts from, match direct evaluation to 1e-15."""
+    d = decompose_graph(random_graph(np.random.default_rng(10), 10, 0.4))
+    value_fn, t_max, steps, refine_below = det._uniform_defect(d), 600.0, 10**5, 1e-7
+    values, _, _ = det._scan_spectral(value_fn, d, t_max, steps, refine_below)
+    ts = np.linspace(0.0, t_max, steps + 1)
+    slices = (ts[lo : lo + 4096] for lo in range(0, len(ts), 4096))
+    direct = np.concatenate([value_fn(*det._phases(part, d.theta)) for part in slices])
+    cutoff = max(refine_below, 4.0 * np.abs(d.theta).max() * (ts[1] - ts[0]))
+    inner = values[1:-1]
+    zoomed = np.nonzero((inner <= cutoff) & (inner <= values[:-2]) & (inner <= values[2:]))[0] + 1
+    reported = np.union1d([0, steps, values.argmin()], zoomed)
+    assert np.abs(values[reported] - direct[reported]).max() <= 1e-15
+    assert np.abs(values - direct).max() > 1e-13
+
+
 def test_screen_evaluates_the_full_objective_on_few_points(monkeypatch):
     """On a seeded 10-vertex graph the full n^2-entry objective runs on
     under a quarter of the 10^5-point grid, zooms included."""
@@ -115,28 +133,39 @@ def test_column_blocks_match_the_stacked_objective(monkeypatch):
         assert np.abs(np.concatenate(got) - want).max() <= 1e-13
 
 
-# the child caps its own address space before it imports numpy
-_CAPPED_SCAN = """
+# the child caps its own address space before it imports numpy, then reads
+# the global objective on the two batch shapes a scan at n = 512 uses: one
+# grid slice and one zoom level
+_CAPPED_OBJECTIVE = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 import numpy as np
+import qwalk.detectors as det
 from conftest import random_graph
-from qwalk import decompose_graph, detect_uniform_mixing
+from qwalk import decompose_graph
 d = decompose_graph(random_graph(np.random.default_rng(512), 512, 0.1))
-print(detect_uniform_mixing(d, t_max=1.0, grid_points=64).verdict)
+value_fn = det._uniform_defect(d)
+for k in (max(1, det._CHUNK_BYTES // (16 * d.n**2)), 65):
+    values = value_fn(*det._phases(np.linspace(0.0, 1.0, k), d.theta))
+    print(len(values), bool(np.all((0.0 <= values) & (values <= 1.0))))
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
-def test_uniform_mixing_at_the_size_cap_fits_in_one_gib():
-    """n = 512 is the default QWALK_MAX_N; the global scan on G(512, 0.1)
-    finishes with the child's address space capped at 1 GiB, where the
-    stack of the E_r alone would need 2 GiB."""
+def test_uniform_mixing_objective_at_the_size_cap_fits_in_one_gib():
+    """n = 512 is the default QWALK_MAX_N; the global objective on
+    G(512, 0.1) runs on a grid slice and on a zoom level with the child's
+    address space capped at 1 GiB, where the stack of the E_r alone would
+    need 2 GiB."""
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(det.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]), OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(
-        [sys.executable, "-c", _CAPPED_SCAN], env=env, capture_output=True, text=True, timeout=600
+        [sys.executable, "-c", _CAPPED_OBJECTIVE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
     )
     assert done.returncode == 0, done.stderr[-300:]
-    assert done.stdout.split() == ["no"]
+    assert done.stdout.split() == ["1", "True", "65", "True"]
