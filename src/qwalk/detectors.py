@@ -303,66 +303,60 @@ def _phases(ts, theta) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
-class _RotatedPhases:
-    """The phases of a grid in slices, with no trigonometry per point past the first.
-
-    Grid index i = k * chunk + j is taken as ts[k * chunk] + ts[j]: the first
-    slice's cos and sin are rotated by the angle-sum formulas through the
-    angle ts[k * chunk] theta.  That angle's cos and sin are computed afresh
-    for every slice k, never chained from the slice before, so rounding does
-    not build up along the grid.  `slices` hands out the first slice as
-    computed; `rows` rotates it by cos 0 = 1 and sin 0 = 0, which keeps its
-    bits, so a point reads the same phases either way.
-    """
-
-    def __init__(self, ts: np.ndarray, theta: np.ndarray, chunk: int):
-        self.size, self.chunk = len(ts), chunk
-        self.cos, self.sin = _phases(ts[:chunk], theta)
-        self.start_cos, self.start_sin = _phases(ts[::chunk], theta)
-
-    def _rotate(self, j, k):
-        c, s, c0, s0 = self.cos[j], self.sin[j], self.start_cos[k], self.start_sin[k]
-        return c * c0 - s * s0, s * c0 + c * s0
-
-    def slices(self):
-        """(cos, sin) of each slice of at most `chunk` consecutive grid points."""
-        yield self.cos, self.sin
-        for k, lo in enumerate(range(self.chunk, self.size, self.chunk), 1):
-            yield self._rotate(slice(0, min(self.chunk, self.size - lo)), k)
-
-    def rows(self, idx: np.ndarray):
-        """(cos, sin) at the given grid indices."""
-        k, j = np.divmod(idx, self.chunk)
-        return self._rotate(j, k)
-
-
-# Allowance for rounding when a screen's lower bound and the objective read the
-# same matrix entry by different sums; both lie in [0, 1].
+# The screen samples every K-th grid point, K the longest stride across which
+# the slope bound moves by at most this much.
+_SCREEN_RISE = 0.1
+# Allowance for rounding per unit of 1 + t_max max|theta|, the size of the
+# largest angle whose cos and sin a scan takes.
 _SCREEN_SLACK = 1e-12
 
 
-def _screened_values(value_fn, bound_fn, phases: _RotatedPhases, cutoff: float) -> np.ndarray:
-    """Grid values of value_fn wherever they can matter, bound_fn's lower bound elsewhere.
+def _screened_values(value_fn, ts, theta, slope: float, cutoff: float, chunk: int) -> np.ndarray:
+    """Grid values of value_fn wherever they can matter, a lower bound elsewhere.
 
-    The bound is scored on the whole grid.  value_fn then replaces it
-    best-first, in increasing order of the bound, in batches that double from
-    one point up to one slice, until the next bound exceeds max(cutoff, least
-    value found).  Every point left at its bound lies above that threshold, so
-    it is neither the global minimum nor a minimum worth zooming, and it reads
-    higher than any such minimum next to it: `timescan.scan_minima` zooms the
-    same minima as on the fully evaluated grid.
+    value_fn is evaluated at every K-th point and at both ends, with
+    K = max(1, floor(_SCREEN_RISE / (slope dt))).  As it changes by at most
+    `slope` per unit time, a point between samples a and b is bounded below
+    by max(F_a - slope (t - t_a), F_b - slope (t_b - t)), less the rounding
+    slack.  value_fn then replaces that bound best-first, in increasing order
+    of the bound, in batches that double from the number of samples up to
+    `chunk`, until the next bound exceeds max(cutoff, least value found).
+    Every point left at its bound lies above that threshold, so it is neither
+    the global minimum nor a minimum worth zooming, and it reads higher than
+    any such minimum next to it: `timescan.scan_minima` zooms the same minima
+    as on the fully evaluated grid.  Every value is read on direct cos and sin.
     """
-    values = np.concatenate([bound_fn(c, s) for c, s in phases.slices()])
-    order = np.argsort(values, kind="stable")
-    ranked = values[order] - _SCREEN_SLACK
-    least, done, batch = math.inf, 0, 1
+
+    def evaluate(idx):
+        return np.concatenate(
+            [value_fn(*_phases(ts[idx[lo : lo + chunk]], theta)) for lo in range(0, len(idx), chunk)]
+        )
+
+    last = len(ts) - 1
+    rise = slope * (ts[1] - ts[0])
+    stride = max(1, int(min(last, _SCREEN_RISE / rise))) if rise > 0 else last
+    samples = np.append(np.arange(0, last, stride), last)
+    exact = evaluate(samples)
+    if len(samples) == len(ts):
+        return exact
+    k = np.minimum(np.arange(len(ts)) // stride, len(samples) - 2)
+    lo, hi = samples[k], samples[k + 1]
+    values = np.maximum(exact[k] - slope * (ts - ts[lo]), exact[k + 1] - slope * (ts[hi] - ts))
+    values -= _SCREEN_SLACK * (1.0 + ts[-1] * slope / 2.0)
+    values[samples] = np.inf  # exact already, so never refined
+    least = float(exact.min())
+    candidates = np.nonzero(values <= max(cutoff, least))[0]
+    order = candidates[np.argsort(values[candidates], kind="stable")]
+    ranked = values[order]
+    values[samples] = exact
+    done, batch = 0, min(len(samples), chunk)
     while done < len(order) and ranked[done] <= max(cutoff, least):
         stop = min(done + batch, int(np.searchsorted(ranked, max(cutoff, least), side="right")))
         idx = order[done:stop]
-        exact = value_fn(*phases.rows(idx))
-        values[idx] = exact
-        least = min(least, float(exact.min()))
-        done, batch = stop, min(2 * batch, phases.chunk)
+        found = evaluate(idx)
+        values[idx] = found
+        least = min(least, float(found.min()))
+        done, batch = stop, min(2 * batch, chunk)
     return values
 
 
@@ -372,37 +366,27 @@ def _scan_spectral(
     t_max: float,
     steps: int,
     refine_below: float,
-    bound_fn=None,
     **record,
 ):
     """Sample value_fn at steps + 1 times spanning [0, t_max] and refine its minima.
 
     value_fn maps (cos(t theta), sin(t theta)), two (k, m) arrays, to k
-    values.  The grid is evaluated in slices of at most _CHUNK_BYTES // (16 n^2)
-    times; the slices after the first get their phases by rotation
-    (`_RotatedPhases`).  A given `bound_fn`, a cheaper lower bound on
-    value_fn, screens the grid (`_screened_values`): the returned grid values
-    are then lower bounds wherever they exceed the zoom cutoff and the least
-    value found.  The grid values a report can carry, the two ends and every
-    minimum a zoom starts from, are then read again from direct cos and sin,
-    and zooming always evaluates value_fn on direct cos and sin, so no
-    reported value takes the rotation's rounding.  `record` goes on to
-    `timescan.scan_minima`.  Returns the grid values, the recorded minima and
-    the floor.
+    values, and changes by at most slope = 2 max|theta| = 2 ||H|| per unit
+    time: |d/dt |U(t)_ij|^2| <= 2 ||H||, ||d/dt U P U*||_F = ||[H, P(t)]||_F
+    <= 2 ||H|| for a density matrix P, and a max of such functions keeps the
+    constant.  That slope screens the grid (`_screened_values`) and sets the
+    zoom cutoff.  value_fn runs on batches of at most _CHUNK_BYTES // (16 n^2)
+    times, always on direct cos and sin; a returned grid value is either
+    value_fn there or a lower bound above the zoom cutoff and the least grid
+    value.  `record` goes on to `timescan.scan_minima`.  Returns the grid
+    values, the recorded minima and the floor.
     """
     _check_t_max(t_max)
     ts = np.linspace(0.0, t_max, steps + 1)
     slope = 2.0 * float(np.abs(d.theta).max()) if d.m else 0.0
     cutoff = max(refine_below, 2.0 * slope * (ts[1] - ts[0]))
-    phases = _RotatedPhases(ts, d.theta, max(1, _CHUNK_BYTES // (16 * max(d.n, 1) ** 2)))
-    if bound_fn is None:
-        values = np.concatenate([value_fn(c, s) for c, s in phases.slices()])
-    else:
-        values = _screened_values(value_fn, bound_fn, phases, cutoff)
-    inner = values[1:-1]
-    zoomed = np.nonzero((inner <= cutoff) & (inner <= values[:-2]) & (inner <= values[2:]))[0] + 1
-    idx = np.union1d([0, len(ts) - 1, int(values.argmin())], zoomed)
-    values[idx] = value_fn(*_phases(ts[idx], d.theta))
+    chunk = max(1, _CHUNK_BYTES // (16 * max(d.n, 1) ** 2))
+    values = _screened_values(value_fn, ts, d.theta, slope, cutoff, chunk)
     minima, floor = scan_minima(
         ts,
         values,
@@ -564,14 +548,6 @@ def _uniform_defect(d: SpectralDecomposition):
     return value_fn
 
 
-def _screen_bound(d: SpectralDecomposition):
-    """The largest defect over the diagonal and column 0 of U(t), a lower bound
-    on `_uniform_defect` read from 2n of its n^2 entries."""
-    diagonal = np.add.reduceat(np.abs(d.vectors) ** 2, d.bounds[:-1], axis=1).T
-    column = d.columns([0]).reshape(d.m, -1)
-    return _defect(_entry_probabilities(d, np.concatenate([diagonal, column], axis=1)), d.n)
-
-
 def _mixing_report(
     d: SpectralDecomposition,
     value_fn,
@@ -579,14 +555,13 @@ def _mixing_report(
     flat_tol: float,
     grid_points: int,
     extra_warnings: tuple[str, ...],
-    bound_fn=None,
 ) -> DetectionReport:
     """Scan a flatness defect, value_fn of (cos(t theta), sin(t theta)), for a flat time.
 
-    The grid's slices rotate their phases, and a given `bound_fn` screens
-    the grid (`_scan_spectral`); the zooms and the grid values they start
-    from, and so every witness time and residual, evaluate value_fn on
-    direct cos and sin.
+    The defect is a max of |U(t)_ij|^2 - 1/n terms, so the slope bound of
+    `_scan_spectral` screens its grid: value_fn runs on a sparse set of
+    points and wherever their bounds can reach the zoom cutoff, and every
+    witness time and residual comes from direct cos and sin.
     """
     steps = max(64, int(grid_points))
     # the scan stops recording at the first flat time, which is the witness
@@ -596,7 +571,6 @@ def _mixing_report(
         t_max,
         steps,
         100 * flat_tol,
-        bound_fn=bound_fn,
         record_below=flat_tol,
         max_records=1,
     )
@@ -673,13 +647,12 @@ def detect_uniform_mixing(
 ) -> DetectionReport:
     """Is there one time at which every vertex state mixes uniformly?
 
-    The objective is the largest defect over all n^2 entries of U(t).  With
-    n >= 3 the largest defect over the diagonal and column 0 screens it: the
-    full objective is evaluated only where that lower bound leaves a point
-    that could matter to the scan.
+    The objective is the largest defect over all n^2 entries of U(t).  Like
+    the local scan, it is evaluated on every K-th grid point and then only
+    where the slope bound from those samples leaves a point that could
+    matter to the scan (`_screened_values`).
     """
-    bound_fn = _screen_bound(d) if 2 * d.n < d.n * d.n else None
-    return _mixing_report(d, _uniform_defect(d), t_max, flat_tol, grid_points, (), bound_fn)
+    return _mixing_report(d, _uniform_defect(d), t_max, flat_tol, grid_points, ())
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,15 @@ def scan_minima(
     """
     global_idx = int(values.argmin())
     floor = float(values[global_idx])
-    interior = (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
+    inner = values[1:-1]
+    zoomable = inner <= refine_below
+    if 0 < global_idx < len(values) - 1:
+        zoomable[global_idx - 1] = True
+    interior = zoomable & (inner <= values[:-2]) & (inner <= values[2:])
     minima: list[tuple[float, float]] = []
     for i in np.nonzero(interior)[0] + 1:
-        if i != global_idx:
-            if values[i] > refine_below:
-                continue
-            if max_records is not None and len(minima) >= max_records:
-                continue
+        if i != global_idx and max_records is not None and len(minima) >= max_records:
+            continue
         t, v = _zoom(evaluate, ts[i - 1], ts[i + 1], float(ts[i]), float(values[i]), time_resolution)
         floor = min(floor, v)
         if v <= record_below:

@@ -1,5 +1,5 @@
-"""The mixing scans' rotated slice phases, the global scan's lower-bound
-screen and its column-block objective, each against a direct reference."""
+"""The spectral scans' slope-bound screen, the slope bound it rests on and
+the global objective's column blocks, each against a direct reference."""
 
 from __future__ import annotations
 
@@ -15,10 +15,14 @@ from qwalk import (
     Graph,
     decompose_graph,
     decompose_oriented,
+    detect_local_uniform_mixing,
     detect_uniform_mixing,
+    pgst_witness_search,
     spectral_decompose,
     star_graph,
+    vertex_state,
 )
+from qwalk.timescan import scan_minima
 from conftest import random_graph, random_orientation
 
 FLUX_TRIANGLE = np.array(
@@ -36,83 +40,128 @@ def _random_walks(seed: int, count: int):
     return out
 
 
+def _full_grid_scan(value_fn, d, t_max, steps, refine_below, **record):
+    """`detectors._scan_spectral` with value_fn evaluated on every grid point."""
+    ts = np.linspace(0.0, t_max, steps + 1)
+    cutoff = max(refine_below, 4.0 * np.abs(d.theta).max() * (ts[1] - ts[0]))
+    slices = (ts[lo : lo + 4096] for lo in range(0, len(ts), 4096))
+    values = np.concatenate([value_fn(*det._phases(part, d.theta)) for part in slices])
+    minima, floor = scan_minima(
+        ts,
+        values,
+        lambda lo, step, count: value_fn(*det._phases(lo + step * np.arange(count), d.theta)),
+        cutoff,
+        **record,
+    )
+    return values, minima, floor
+
+
+def _all_scans(d):
+    """Global mixing, local mixing at the first and last vertex and the
+    transfer witness between them, each at its default grid."""
+    n = d.n
+    return [
+        detect_uniform_mixing(d),
+        detect_local_uniform_mixing(d, 0),
+        detect_local_uniform_mixing(d, n - 1),
+        pgst_witness_search(vertex_state(n, 0), vertex_state(n, n - 1), d, 6.0),
+    ]
+
+
 def test_screened_scan_matches_the_full_grid(monkeypatch):
-    """At the default 10^5 points, the screened global scan reports exactly
-    what the same scan reports with the full objective on every grid point:
-    atlas graphs on 3-5 vertices, seeded plain and oriented G(8-12) walks and
-    the flux triangle."""
+    """The screened scans report exactly what the same scans report with
+    every grid point evaluated: global and local mixing at 10^5 points and
+    the transfer witness on atlas graphs on 3-5 vertices, seeded plain and
+    oriented G(8-12) walks and the flux triangle."""
     nx = pytest.importorskip("networkx")
     walks = [spectral_decompose(FLUX_TRIANGLE), *_random_walks(13, 5)]
     for ag in nx.graph_atlas_g():
         if 3 <= ag.number_of_nodes() <= 5 and ag.number_of_edges():
             edges = [tuple(sorted(e)) for e in ag.edges()]
             walks.append(decompose_graph(Graph.from_edges(ag.number_of_nodes(), edges)))
-    screened = [detect_uniform_mixing(d) for d in walks]
-    scan = det._scan_spectral
-
-    def full_grid(value_fn, *args, bound_fn=None, **kwargs):
-        return scan(value_fn, *args, **kwargs)
-
-    monkeypatch.setattr(det, "_scan_spectral", full_grid)
-    assert screened == [detect_uniform_mixing(d) for d in walks]
-    assert {r.verdict for r in screened} == {"yes", "no"}
+    screened = [_all_scans(d) for d in walks]
+    monkeypatch.setattr(det, "_scan_spectral", _full_grid_scan)
+    assert screened == [_all_scans(d) for d in walks]
+    assert {r[0].verdict for r in screened} == {"yes", "no"}
+    assert {r[1].verdict for r in screened} == {"yes", "no"}
 
 
-@pytest.mark.parametrize("t_max", [20.0, 600.0])
-def test_rotated_phases_match_direct_trigonometry(t_max):
-    """On a multi-slice grid the rotated phases agree with cos and sin of
-    t theta to 1e-15 (1 + t_max max|theta|), and reading a point by index
-    gives the same bits as reading its slice."""
-    d = decompose_graph(random_graph(np.random.default_rng(4), 10, 0.4))
-    ts = np.linspace(0.0, t_max, 10**5 + 1)
-    chunk = det._CHUNK_BYTES // (16 * d.n**2)
-    phases = det._RotatedPhases(ts, d.theta, chunk)
-    c, s = (np.concatenate(part) for part in zip(*phases.slices()))
-    want_c, want_s = det._phases(ts, d.theta)
-    bound = 1e-15 * (1 + t_max * np.abs(d.theta).max())
-    assert max(np.abs(c - want_c).max(), np.abs(s - want_s).max()) <= bound
-    idx = np.random.default_rng(5).choice(len(ts), 500, replace=False)
-    rc, rs = phases.rows(idx)
-    assert np.array_equal(rc, c[idx]) and np.array_equal(rs, s[idx])
-
-
-def test_reported_grid_values_take_direct_trigonometry():
-    """At t_max = 600 the rotated grid drifts from direct cos and sin by
-    more than 1e-13, yet the grid values a report can carry, the two ends
-    and each minimum a zoom starts from, match direct evaluation to 1e-15."""
+@pytest.mark.parametrize("t_max, steps", [(20.0, 10**5), (600.0, 10**6)])
+def test_grid_values_are_direct_or_lower_bounds(t_max, steps):
+    """Each grid value the global scan returns is either bit-equal to a
+    direct evaluation of the objective there, or a lower bound on it that
+    lies above both the zoom cutoff and the floor.  Both grids are fine
+    enough for the screen to sample a stride of several points."""
     d = decompose_graph(random_graph(np.random.default_rng(10), 10, 0.4))
-    value_fn, t_max, steps, refine_below = det._uniform_defect(d), 600.0, 10**5, 1e-7
-    values, _, _ = det._scan_spectral(value_fn, d, t_max, steps, refine_below)
-    ts = np.linspace(0.0, t_max, steps + 1)
-    slices = (ts[lo : lo + 4096] for lo in range(0, len(ts), 4096))
-    direct = np.concatenate([value_fn(*det._phases(part, d.theta)) for part in slices])
-    cutoff = max(refine_below, 4.0 * np.abs(d.theta).max() * (ts[1] - ts[0]))
-    inner = values[1:-1]
-    zoomed = np.nonzero((inner <= cutoff) & (inner <= values[:-2]) & (inner <= values[2:]))[0] + 1
-    reported = np.union1d([0, steps, values.argmin()], zoomed)
-    assert np.abs(values[reported] - direct[reported]).max() <= 1e-15
-    assert np.abs(values - direct).max() > 1e-13
+    value_fn, refine_below = det._uniform_defect(d), 1e-7
+    values, _, floor = det._scan_spectral(value_fn, d, t_max, steps, refine_below)
+    direct, _, _ = _full_grid_scan(value_fn, d, t_max, steps, refine_below)
+    cutoff = max(refine_below, 4.0 * np.abs(d.theta).max() * t_max / steps)
+    bounded = values != direct
+    assert 0 < bounded.sum() < len(values)
+    assert np.all(values[bounded] <= direct[bounded])
+    assert np.all(values[bounded] > max(cutoff, floor))
 
 
 def test_screen_evaluates_the_full_objective_on_few_points(monkeypatch):
-    """On a seeded 10-vertex graph the full n^2-entry objective runs on
-    under a quarter of the 10^5-point grid, zooms included."""
+    """On a seeded 10-vertex graph both mixing scans evaluate their
+    objective on under an eighth of the 10^5-point grid, zooms included."""
     d = decompose_graph(random_graph(np.random.default_rng(10), 10, 0.4))
-    uniform_defect, points = det._uniform_defect, []
+    mixing_report, points = det._mixing_report, []
 
-    def counted(d):
-        value_fn = uniform_defect(d)
-
+    def counted(d, value_fn, *args):
         def count(c, s):
-            points.append(len(c))
+            points[-1] += len(c)
             return value_fn(c, s)
 
-        return count
+        points.append(0)
+        return mixing_report(d, count, *args)
 
-    monkeypatch.setattr(det, "_uniform_defect", counted)
-    report = detect_uniform_mixing(d)
-    assert report.verdict == "no"
-    assert 0 < sum(points) < (det.DEFAULT_MIXING_GRID + 1) / 4
+    monkeypatch.setattr(det, "_mixing_report", counted)
+    reports = [detect_uniform_mixing(d), detect_local_uniform_mixing(d, 0)]
+    assert [r.verdict for r in reports] == ["no", "no"]
+    assert len(points) == 2
+    assert all(0 < count < (det.DEFAULT_MIXING_GRID + 1) / 8 for count in points)
+
+
+def _slope_walks():
+    """Plain and oriented seeded walks and the flux triangle."""
+    return [spectral_decompose(FLUX_TRIANGLE), *_random_walks(21, 2)]
+
+
+def _assert_slope_bounded(value_fn, d, t_max=5.0, points=20001):
+    ts = np.linspace(0.0, t_max, points)
+    values = value_fn(*det._phases(ts, d.theta))
+    slope = 2.0 * np.abs(d.theta).max()
+    assert np.abs(np.diff(values)).max() <= slope * (ts[1] - ts[0]) + 1e-12
+
+
+def test_mixing_objectives_obey_the_slope_bound(monkeypatch):
+    """On a dense grid the local and global mixing defects, the global one
+    both stacked and over column blocks, change by at most 2 max|theta| per
+    unit time: the constant the screen's lower bounds rest on."""
+    for d in _slope_walks():
+        for a in range(d.n):
+            _assert_slope_bounded(det._defect(det._column_probabilities(d, [a]), d.n), d)
+        _assert_slope_bounded(det._uniform_defect(d), d)
+        with monkeypatch.context() as m:
+            m.setattr(det, "_CHUNK_BYTES", 16 * 20001 * d.n * 2)  # two columns a block
+            _assert_slope_bounded(det._uniform_defect(d), d)
+
+
+def test_transfer_objective_obeys_the_slope_bound(monkeypatch):
+    """||U(t) P U(-t) - Q||, as pgst_witness_search scores it, changes by
+    at most 2 max|theta| per unit time between vertex states."""
+    scan, objectives = det._scan_spectral, []
+
+    def capture(value_fn, *args, **kwargs):
+        objectives.append(value_fn)
+        return scan(value_fn, *args, **kwargs)
+
+    monkeypatch.setattr(det, "_scan_spectral", capture)
+    for d in _slope_walks():
+        pgst_witness_search(vertex_state(d.n, 0), vertex_state(d.n, d.n - 1), d, 1.0)
+        _assert_slope_bounded(objectives[-1], d)
 
 
 def test_column_blocks_match_the_stacked_objective(monkeypatch):
