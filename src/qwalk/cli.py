@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -596,7 +597,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:  # console-script shim
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`qwalk spectra g.txt | head -1`): point it
+        # at devnull so that the flush at exit fails quietly too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAILURE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .states import (
     density_matrix,
     evolve,
 )
-from .timescan import scan_minima
+from .timescan import first_below
 
 DEFAULT_ACCEPT_TOL = 1e-8
 DEFAULT_FLAT_TOL = 1e-9
@@ -47,11 +47,19 @@ _CHUNK_BYTES = 1 << 22
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Sign-pattern enumeration would exceed the configured cap."""
+    """Sign-pattern enumeration would exceed the configured cap.
 
-    def __init__(self, count: int):
-        super().__init__(f"would enumerate {count} sign patterns")
-        self.count = count
+    Built from the pair count k, not from 2^k, whose decimal form can pass
+    Python's integer-to-string limit at n = 512.
+    """
+
+    def __init__(self, pairs: int):
+        super().__init__(f"would enumerate 2^{pairs} sign patterns ({pairs} off-diagonal pairs)")
+        self.pairs = pairs
+
+    @property
+    def count(self) -> int:
+        return 2**self.pairs
 
 
 @dataclass(frozen=True)
@@ -267,7 +275,7 @@ def pgst_candidates(
     """
     pairs = b.off_diagonal_pairs()
     if len(pairs) > pair_cap:
-        raise EnumerationCapExceeded(2 ** len(pairs))
+        raise EnumerationCapExceeded(len(pairs))
     survivors = _pruned_sign_patterns(b, pairs, psd_tol + 1e-12)
     v, placed = d.vectors, [(k, r, s) for k, (r, s) in enumerate(pairs)]
     out: list[tuple[SignPattern, DensityMatrix]] = []
@@ -303,98 +311,47 @@ def _phases(ts, theta) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
-# The screen samples every K-th grid point, K the longest stride across which
-# the slope bound moves by at most this much.
-_SCREEN_RISE = 0.1
 # Allowance for rounding per unit of 1 + t_max max|theta|, the size of the
 # largest angle whose cos and sin a scan takes.
-_SCREEN_SLACK = 1e-12
+_SLACK = 1e-12
 
 
-def _screened_values(value_fn, ts, theta, slope: float, cutoff: float, chunk: int) -> np.ndarray:
-    """Grid values of value_fn wherever they can matter, a lower bound elsewhere.
+def _spreads(d: SpectralDecomposition) -> np.ndarray:
+    """Delta H(e_j) for every vertex j: the spread of theta under the weights
+    ||E_r e_j||^2, which is sqrt(||H e_j||^2 - <e_j, H e_j>^2) for the H the
+    decomposition evolves by.
 
-    value_fn is evaluated at every K-th point and at both ends, with
-    K = max(1, floor(_SCREEN_RISE / (slope dt))).  As it changes by at most
-    `slope` per unit time, a point between samples a and b is bounded below
-    by max(F_a - slope (t - t_a), F_b - slope (t_b - t)), less the rounding
-    slack.  value_fn then replaces that bound best-first, in increasing order
-    of the bound, in batches that double from the number of samples up to
-    `chunk`, until the next bound exceeds max(cutoff, least value found).
-    Every point left at its bound lies above that threshold, so it is neither
-    the global minimum nor a minimum worth zooming, and it reads higher than
-    any such minimum next to it: `timescan.scan_minima` zooms the same minima
-    as on the fully evaluated grid.  Every value is read on direct cos and sin.
+    For rho = U(t) e_j e_j* U(t)*, d/dt |U(t)_ij|^2 = <e_i, i[H, rho] e_i>,
+    and i[H, rho] has eigenvalues +-Delta H(e_j) at every t, as U(t) commutes
+    with H: Delta H(e_a) bounds the slope of the local defect at a, and the
+    largest of them that of the global defect.
     """
-
-    def evaluate(idx):
-        return np.concatenate(
-            [value_fn(*_phases(ts[idx[lo : lo + chunk]], theta)) for lo in range(0, len(idx), chunk)]
-        )
-
-    last = len(ts) - 1
-    rise = slope * (ts[1] - ts[0])
-    stride = max(1, int(min(last, _SCREEN_RISE / rise))) if rise > 0 else last
-    samples = np.append(np.arange(0, last, stride), last)
-    exact = evaluate(samples)
-    if len(samples) == len(ts):
-        return exact
-    k = np.minimum(np.arange(len(ts)) // stride, len(samples) - 2)
-    lo, hi = samples[k], samples[k + 1]
-    values = np.maximum(exact[k] - slope * (ts - ts[lo]), exact[k + 1] - slope * (ts[hi] - ts))
-    values -= _SCREEN_SLACK * (1.0 + ts[-1] * slope / 2.0)
-    values[samples] = np.inf  # exact already, so never refined
-    least = float(exact.min())
-    candidates = np.nonzero(values <= max(cutoff, least))[0]
-    order = candidates[np.argsort(values[candidates], kind="stable")]
-    ranked = values[order]
-    values[samples] = exact
-    done, batch = 0, min(len(samples), chunk)
-    while done < len(order) and ranked[done] <= max(cutoff, least):
-        stop = min(done + batch, int(np.searchsorted(ranked, max(cutoff, least), side="right")))
-        idx = order[done:stop]
-        found = evaluate(idx)
-        values[idx] = found
-        least = min(least, float(found.min()))
-        done, batch = stop, min(2 * batch, chunk)
-    return values
+    weights = np.add.reduceat(np.abs(d.vectors) ** 2, d.bounds[:-1], axis=1)
+    mean = weights @ d.theta
+    return np.sqrt((weights * (d.theta[None, :] - mean[:, None]) ** 2).sum(axis=1))
 
 
-def _scan_spectral(
-    value_fn,
-    d: SpectralDecomposition,
-    t_max: float,
-    steps: int,
-    refine_below: float,
-    **record,
+def _certified_scan(
+    value_fn, d: SpectralDecomposition, t_max: float, slope: float, target: float, steps: int
 ):
-    """Sample value_fn at steps + 1 times spanning [0, t_max] and refine its minima.
+    """`timescan.first_below` on value_fn, a function of (cos(t theta), sin(t theta)).
 
-    value_fn maps (cos(t theta), sin(t theta)), two (k, m) arrays, to k
-    values, and changes by at most slope = 2 max|theta| = 2 ||H|| per unit
-    time: |d/dt |U(t)_ij|^2| <= 2 ||H||, ||d/dt U P U*||_F = ||[H, P(t)]||_F
-    <= 2 ||H|| for a density matrix P, and a max of such functions keeps the
-    constant.  That slope screens the grid (`_screened_values`) and sets the
-    zoom cutoff.  value_fn runs on batches of at most _CHUNK_BYTES // (16 n^2)
-    times, always on direct cos and sin; a returned grid value is either
-    value_fn there or a lower bound above the zoom cutoff and the least grid
-    value.  `record` goes on to `timescan.scan_minima`.  Returns the grid
-    values, the recorded minima and the floor.
+    value_fn changes by at most `slope` per unit time and runs on batches of
+    at most _CHUNK_BYTES // (16 n^2) times, always on direct cos and sin.  A
+    witness is the earliest to within one step t_max / steps.  Short of a
+    witness the search evaluates at most as many points as the
+    (steps + 1)-point grid holds, and is left unresolved past that.
     """
     _check_t_max(t_max)
-    ts = np.linspace(0.0, t_max, steps + 1)
-    slope = 2.0 * float(np.abs(d.theta).max()) if d.m else 0.0
-    cutoff = max(refine_below, 2.0 * slope * (ts[1] - ts[0]))
     chunk = max(1, _CHUNK_BYTES // (16 * max(d.n, 1) ** 2))
-    values = _screened_values(value_fn, ts, d.theta, slope, cutoff, chunk)
-    minima, floor = scan_minima(
-        ts,
-        values,
-        lambda lo, step, count: value_fn(*_phases(lo + step * np.arange(count), d.theta)),
-        cutoff,
-        **record,
-    )
-    return values, minima, floor
+
+    def values_at(ts):
+        slices = (ts[lo : lo + chunk] for lo in range(0, len(ts), chunk))
+        return np.concatenate([value_fn(*_phases(part, d.theta)) for part in slices])
+
+    largest = float(np.abs(d.theta).max()) if d.m else 0.0
+    slack = _SLACK * (1.0 + t_max * largest)
+    return first_below(values_at, t_max, slope, target, t_max / steps, slack, steps + 1)
 
 
 def pgst_witness_search(
@@ -403,26 +360,17 @@ def pgst_witness_search(
     d: SpectralDecomposition,
     t_max: float,
     accept_tol: float = DEFAULT_ACCEPT_TOL,
-    step: float | None = None,
+    step: float = 1e-2,
 ) -> BestTransfer:
-    """Best transfer time found on [0, t_max]; a semi-decision, never a proof.
+    """A transfer time on [0, t_max]; a semi-decision, never a proof.
 
-    Grid scan of ||U(t) P U(-t) - Q||, scored in the eigenbasis, with local
-    refinement.  The default step follows the certified period when one
-    exists, else 1e-2.
+    ||U(t) P U(-t) - Q|| is scored in the eigenbasis and changes by at most
+    ||[H, P]||_F per unit time, so `timescan.first_below` looks for the
+    earliest time, to within `step`, where it is at most 10 accept_tol, and
+    returns the refined minimum next to it.  Without one it returns the least
+    value it evaluated, and where.
     """
     _check_t_max(t_max)
-    if step is None:
-        step = 1e-2
-        if p.real:
-            try:
-                b = block_decompose(p, d)
-                if b.support.off_diagonal:
-                    outcome = ratio_condition(b.support, d.theta, rational_state=p.rational)
-                    if isinstance(outcome, RatioCertificate):
-                        step = min(1e-2, minimum_period(outcome) / 64.0)
-            except ValueError:
-                pass
     # ||U P U* - Q|| = ||Phi(t) o P^ - Q^|| with P^ = V* P V, Q^ = V* Q V and
     # Phi_ij = exp(i t (lam_i - lam_j)), so each time costs O(n^2)
     v = d.vectors
@@ -432,12 +380,11 @@ def pgst_witness_search(
         e = np.repeat(c + 1j * s, d.mult, axis=1)
         return np.linalg.norm(e[:, :, None] * p_hat * e[:, None, :].conj() - q_hat, axis=(1, 2))
 
+    lam = np.repeat(d.theta, d.mult)
+    slope = float(np.linalg.norm((lam[:, None] - lam[None, :]) * p_hat))  # ||[H, P]||_F
     steps = max(2, int(math.ceil(t_max / step)))
-    values, refined, floor = _scan_spectral(value_fn, d, t_max, steps, 10 * accept_tol)
-    # the grid starts at t = 0 and ends exactly at t_max; ties go to the earliest
-    ends = [(0.0, float(values[0])), *refined, (t_max, float(values[-1]))]
-    best_t, best_v = min(ends, key=lambda tv: tv[1])
-    return BestTransfer(best_t, min(best_v, floor))
+    scan = _certified_scan(value_fn, d, t_max, slope, 10 * accept_tol, steps)
+    return BestTransfer(scan.t, scan.value)
 
 
 def _vertex_support(d: SpectralDecomposition, a: int, tol: float = 1e-8) -> EigenvalueSupport:
@@ -551,37 +498,36 @@ def _uniform_defect(d: SpectralDecomposition):
 def _mixing_report(
     d: SpectralDecomposition,
     value_fn,
+    slope: float,
     t_max: float,
     flat_tol: float,
     grid_points: int,
     extra_warnings: tuple[str, ...],
 ) -> DetectionReport:
-    """Scan a flatness defect, value_fn of (cos(t theta), sin(t theta)), for a flat time.
+    """Search a flatness defect, value_fn of (cos(t theta), sin(t theta)), for a flat time.
 
-    The defect is a max of |U(t)_ij|^2 - 1/n terms, so the slope bound of
-    `_scan_spectral` screens its grid: value_fn runs on a sparse set of
-    points and wherever their bounds can reach the zoom cutoff, and every
-    witness time and residual comes from direct cos and sin.
+    The defect changes by at most `slope` per unit time, so `_certified_scan`
+    either finds the earliest time, to within one grid step
+    t_max / max(64, grid_points), at which it is at most flat_tol and reports
+    the refined minimum there, or proves a lower bound above flat_tol on the
+    whole window [0, t_max].  A "no" reports the least value evaluated.
     """
-    steps = max(64, int(grid_points))
-    # the scan stops recording at the first flat time, which is the witness
-    _, flat, floor = _scan_spectral(
-        value_fn,
-        d,
-        t_max,
-        steps,
-        100 * flat_tol,
-        record_below=flat_tol,
-        max_records=1,
+    scan = _certified_scan(value_fn, d, t_max, slope, flat_tol, max(64, int(grid_points)))
+    if scan.hit:
+        return DetectionReport("yes", witness_time=scan.t, residual=scan.value, warnings=extra_warnings)
+    window = (f"semi-decision: searched t in [0, {t_max:g}] only",)
+    if scan.lower_bound > flat_tol:
+        reason = (
+            f"certified lower bound {scan.lower_bound:g} above flatness tolerance {flat_tol:g} "
+            f"(slope bound {slope:g})"
+        )
+        return DetectionReport("no", residual=scan.value, reason=reason, warnings=extra_warnings + window)
+    reason = (
+        f"scan unresolved after {scan.evaluations} evaluations: the least value {scan.value:g} "
+        f"is above flatness tolerance {flat_tol:g}, the lower bound {scan.lower_bound:g} is not"
     )
-    if flat:
-        t, v = min(flat)
-        return DetectionReport("yes", witness_time=t, residual=v, warnings=extra_warnings)
     return DetectionReport(
-        "no",
-        residual=floor,
-        reason=f"scan floor {floor:g} above flatness tolerance {flat_tol:g}",
-        warnings=extra_warnings + (f"semi-decision: searched t in [0, {t_max:g}] only",),
+        "inconclusive", residual=scan.value, reason=reason, warnings=extra_warnings + window
     )
 
 
@@ -600,8 +546,10 @@ def detect_local_uniform_mixing(
     Stage one reports the ratio condition on the vertex support: for walks on
     oriented graphs a flat column is forced to have algebraic entries, so a
     failed ratio condition rules mixing out; for plain graphs and other
-    Hermitian walks the same check is advisory only.  Stage two minimizes the
-    max-entry probability defect of U(t) e_a by grid scan and refinement.
+    Hermitian walks the same check is advisory only.  Stage two searches the
+    max-entry probability defect of U(t) e_a, whose slope is at most
+    Delta H(e_a) (sqrt(deg a) on a graph), for its earliest flat time, or
+    proves it above flat_tol on [0, t_max] (`_mixing_report`).
 
     With `oriented=None` the walk counts as oriented iff its source matrix
     is exactly -iS for a nonzero real S: purely imaginary, as
@@ -627,7 +575,8 @@ def detect_local_uniform_mixing(
         else:
             warnings.append(f"necessary-condition check inconclusive: {outcome.reason}")
     value_fn = _defect(_column_probabilities(d, [a]), d.n)
-    report = _mixing_report(d, value_fn, t_max, flat_tol, grid_points, tuple(warnings))
+    slope = float(_spreads(d)[a])
+    report = _mixing_report(d, value_fn, slope, t_max, flat_tol, grid_points, tuple(warnings))
     if report.verdict == "yes" and oriented and any("fails" in w for w in warnings):
         report = DetectionReport(
             "inconclusive",
@@ -647,12 +596,13 @@ def detect_uniform_mixing(
 ) -> DetectionReport:
     """Is there one time at which every vertex state mixes uniformly?
 
-    The objective is the largest defect over all n^2 entries of U(t).  Like
-    the local scan, it is evaluated on every K-th grid point and then only
-    where the slope bound from those samples leaves a point that could
-    matter to the scan (`_screened_values`).
+    The objective is the largest defect over all n^2 entries of U(t), and its
+    slope is at most max_j Delta H(e_j).  Like the local scan it is searched
+    for its earliest flat time, or proved above flat_tol on [0, t_max]
+    (`_mixing_report`).
     """
-    return _mixing_report(d, _uniform_defect(d), t_max, flat_tol, grid_points, ())
+    slope = float(_spreads(d).max(initial=0.0))
+    return _mixing_report(d, _uniform_defect(d), slope, t_max, flat_tol, grid_points, ())
 
 
 @dataclass(frozen=True)

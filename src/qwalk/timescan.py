@@ -1,17 +1,21 @@
-"""The one time-scan minimizer shared by the detectors and the oracle.
+"""The time scans shared by the detectors and the oracle.
 
-Callers sample a nonnegative objective on a coarse time grid and supply an
-`evaluate(lo, step, count)` callback giving it at `lo + step * arange(count)`.
-The evolution behind the callback stays the caller's (spectral phases in the
-detectors, dense exponentials in the oracle), so this module needs only numpy.
+Both take the objective from a callback, so the evolution behind it stays the
+caller's (spectral phases in the detectors, dense exponentials in the oracle)
+and this module needs only numpy.  `first_below` is the detectors' certified
+search for the earliest time an objective reaches a target; `scan_minima`
+zooms the minima of the oracle's sampled grid.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 TIME_RESOLUTION = 1e-13
 _ZOOM_POINTS = 65
+_FIRST_SAMPLES = 64
 
 
 def _zoom(evaluate, lo, hi, best_t: float, best_v: float, time_resolution: float):
@@ -29,6 +33,103 @@ def _zoom(evaluate, lo, hi, best_t: float, best_v: float, time_resolution: float
         lo = ts[max(k - 1, 0)]
         hi = ts[min(k + 1, _ZOOM_POINTS - 1)]
     return best_t, best_v
+
+
+@dataclass(frozen=True)
+class FirstBelow:
+    """What `first_below` found on [0, t_max].
+
+    With `hit`, t is the witness and value <= target.  Otherwise t and value
+    are the least value evaluated, and F > target holds on the whole window
+    iff lower_bound > target; else the search was left unresolved.
+    """
+
+    hit: bool
+    t: float
+    value: float
+    lower_bound: float
+    evaluations: int
+
+
+def first_below(
+    values_at,
+    t_max: float,
+    slope: float,
+    target: float,
+    step: float,
+    slack: float = 0.0,
+    max_evaluations: int | None = None,
+    time_resolution: float = TIME_RESOLUTION,
+) -> FirstBelow:
+    """The earliest t in [0, t_max] with F(t) <= target, or a proof that none exists.
+
+    values_at(ts) gives F at an array of times, and F changes by at most
+    `slope` per unit time, so on a segment [a, b] it stays at or above the
+    Piyavskii-Shubert bound (F(a) + F(b) - slope (b - a)) / 2, less `slack`
+    for rounding.  F is sampled on 65 points; then every round splits each
+    live segment, one whose bound is at most target, at the bound's argmin
+    clipped to its middle half, and evaluates all new points as one batch.
+    Once a point w has F(w) <= target, segments that start at or after
+    w - step are dropped, so the earliest such point is found to within one
+    `step`; the reported witness is `_zoom`'s minimum over [w - step, w + step].
+    With no point found, the least segment bound is a lower bound on F over
+    the window.  A live segment shorter than `time_resolution`, or a round
+    that would pass `max_evaluations`, leaves the search unresolved.  A zero
+    slope means F is constant: it is evaluated once, at t = 0.
+    """
+    evaluations = 0
+
+    def evaluate(ts):
+        nonlocal evaluations
+        evaluations += len(ts)
+        return values_at(ts)
+
+    if slope <= 0.0:
+        v = float(evaluate(np.zeros(1))[0])
+        return FirstBelow(v <= target, 0.0, v, v, evaluations)
+    lo = np.linspace(0.0, t_max, _FIRST_SAMPLES + 1)
+    f_lo = evaluate(lo)
+    best = int(f_lo.argmin())
+    best_t, best_v = float(lo[best]), float(f_lo[best])
+    hits = np.nonzero(f_lo <= target)[0]
+    hit_t, hit_v = (float(lo[hits[0]]), float(f_lo[hits[0]])) if len(hits) else (np.inf, np.inf)
+    lo, hi, f_lo, f_hi = lo[:-1], lo[1:], f_lo[:-1], f_lo[1:]
+    lower = np.inf
+    while True:
+        bound = (f_lo + f_hi - slope * (hi - lo)) / 2.0 - slack
+        live = (bound <= target) & (lo < hit_t - step)
+        lower = min(lower, float(bound[~live].min(initial=np.inf)))
+        lo, hi, f_lo, f_hi, bound = lo[live], hi[live], f_lo[live], f_hi[live], bound[live]
+        if not len(lo):
+            break
+        over_budget = max_evaluations is not None and evaluations + len(lo) > max_evaluations
+        if over_budget or (hi - lo).min() < time_resolution:
+            if hit_t < np.inf:
+                break
+            return FirstBelow(False, best_t, best_v, min(lower, float(bound.min())), evaluations)
+        quarter = (hi - lo) / 4
+        mid = np.clip((lo + hi) / 2.0 + (f_lo - f_hi) / (2.0 * slope), lo + quarter, hi - quarter)
+        f_mid = evaluate(mid)
+        k = int(f_mid.argmin())
+        if f_mid[k] < best_v:
+            best_t, best_v = float(mid[k]), float(f_mid[k])
+        hits = np.nonzero(f_mid <= target)[0]
+        if len(hits) and mid[hits[0]] < hit_t:
+            hit_t, hit_v = float(mid[hits[0]]), float(f_mid[hits[0]])
+        # each segment [lo, hi] becomes [lo, mid] and [mid, hi], in time order
+        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        f_lo, f_hi = np.column_stack([f_lo, f_mid]).ravel(), np.column_stack([f_mid, f_hi]).ravel()
+    if hit_t == np.inf:
+        return FirstBelow(False, best_t, best_v, lower, evaluations)
+    t, v = _zoom(
+        lambda start, dt, count: evaluate(start + dt * np.arange(count)),
+        max(0.0, hit_t - step),
+        min(t_max, hit_t + step),
+        hit_t,
+        hit_v,
+        time_resolution,
+    )
+    return FirstBelow(True, t, v, lower, evaluations)
 
 
 def scan_minima(

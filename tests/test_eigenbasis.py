@@ -298,13 +298,13 @@ def test_witness_objective_matches_the_dense_conjugation(monkeypatch):
     is ||U P U* - Q|| from the dense exponential, on pure and mixed states of
     plain and oriented walks."""
     scored = []
-    scan = qwalk.detectors._scan_spectral
+    scan = qwalk.detectors._certified_scan
 
     def keep(value_fn, *args, **kwargs):
         scored.append(value_fn)
         return scan(value_fn, *args, **kwargs)
 
-    monkeypatch.setattr(qwalk.detectors, "_scan_spectral", keep)
+    monkeypatch.setattr(qwalk.detectors, "_certified_scan", keep)
     rng = np.random.default_rng(21)
     g = random_graph(rng, 7, 0.5)
     walks = [path_graph(4), g, random_orientation(rng, g), random_orientation(rng, path_graph(5))]

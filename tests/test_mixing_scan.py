@@ -1,5 +1,5 @@
-"""The spectral scans' slope-bound screen, the slope bound it rests on and
-the global objective's column blocks, each against a direct reference."""
+"""The certified spectral scans, the slope bounds they rest on and the
+global objective's column blocks, each against a direct reference."""
 
 from __future__ import annotations
 
@@ -40,72 +40,130 @@ def _random_walks(seed: int, count: int):
     return out
 
 
-def _full_grid_scan(value_fn, d, t_max, steps, refine_below, **record):
-    """`detectors._scan_spectral` with value_fn evaluated on every grid point."""
-    ts = np.linspace(0.0, t_max, steps + 1)
-    cutoff = max(refine_below, 4.0 * np.abs(d.theta).max() * (ts[1] - ts[0]))
+def _grid_values(value_fn, d, ts):
     slices = (ts[lo : lo + 4096] for lo in range(0, len(ts), 4096))
-    values = np.concatenate([value_fn(*det._phases(part, d.theta)) for part in slices])
-    minima, floor = scan_minima(
+    return np.concatenate([value_fn(*det._phases(part, d.theta)) for part in slices])
+
+
+def _full_grid_scan(value_fn, d, t_max, steps, flat_tol):
+    """The grid scan the certified search replaced, as a reference: every
+    point of the (steps + 1)-point grid evaluated, and the interior minima
+    under the slope cutoff zoomed until the first flat one.  Returns the
+    first flat time (None without one) and the grid values."""
+    ts = np.linspace(0.0, t_max, steps + 1)
+    values = _grid_values(value_fn, d, ts)
+    cutoff = max(100 * flat_tol, 4.0 * np.abs(d.theta).max() * (ts[1] - ts[0]))
+    flat, _ = scan_minima(
         ts,
         values,
         lambda lo, step, count: value_fn(*det._phases(lo + step * np.arange(count), d.theta)),
         cutoff,
-        **record,
+        record_below=flat_tol,
+        max_records=1,
     )
-    return values, minima, floor
+    return (min(flat)[0] if flat else None), values
 
 
-def _all_scans(d):
-    """Global mixing, local mixing at the first and last vertex and the
-    transfer witness between them, each at its default grid."""
-    n = d.n
-    return [
-        detect_uniform_mixing(d),
-        detect_local_uniform_mixing(d, 0),
-        detect_local_uniform_mixing(d, n - 1),
-        pgst_witness_search(vertex_state(n, 0), vertex_state(n, n - 1), d, 6.0),
-    ]
-
-
-def test_screened_scan_matches_the_full_grid(monkeypatch):
-    """The screened scans report exactly what the same scans report with
-    every grid point evaluated: global and local mixing at 10^5 points and
-    the transfer witness on atlas graphs on 3-5 vertices, seeded plain and
-    oriented G(8-12) walks and the flux triangle."""
+def _corpus_walks():
+    """The flux triangle, seeded plain and oriented G(8-12) walks and the
+    atlas graphs on 2-5 vertices."""
     nx = pytest.importorskip("networkx")
-    walks = [spectral_decompose(FLUX_TRIANGLE), *_random_walks(13, 5)]
+    walks = [spectral_decompose(FLUX_TRIANGLE), *_random_walks(13, 4)]
     for ag in nx.graph_atlas_g():
-        if 3 <= ag.number_of_nodes() <= 5 and ag.number_of_edges():
-            edges = [tuple(sorted(e)) for e in ag.edges()]
-            walks.append(decompose_graph(Graph.from_edges(ag.number_of_nodes(), edges)))
-    screened = [_all_scans(d) for d in walks]
-    monkeypatch.setattr(det, "_scan_spectral", _full_grid_scan)
-    assert screened == [_all_scans(d) for d in walks]
-    assert {r[0].verdict for r in screened} == {"yes", "no"}
-    assert {r[1].verdict for r in screened} == {"yes", "no"}
+        if 2 <= ag.number_of_nodes() <= 5 and ag.number_of_edges():
+            g = Graph.from_edges(ag.number_of_nodes(), [tuple(sorted(e)) for e in ag.edges()])
+            walks.append(decompose_graph(g))
+    return walks
 
 
-@pytest.mark.parametrize("t_max, steps", [(20.0, 10**5), (600.0, 10**6)])
-def test_grid_values_are_direct_or_lower_bounds(t_max, steps):
-    """Each grid value the global scan returns is either bit-equal to a
-    direct evaluation of the objective there, or a lower bound on it that
-    lies above both the zoom cutoff and the floor.  Both grids are fine
-    enough for the screen to sample a stride of several points."""
-    d = decompose_graph(random_graph(np.random.default_rng(10), 10, 0.4))
-    value_fn, refine_below = det._uniform_defect(d), 1e-7
-    values, _, floor = det._scan_spectral(value_fn, d, t_max, steps, refine_below)
-    direct, _, _ = _full_grid_scan(value_fn, d, t_max, steps, refine_below)
-    cutoff = max(refine_below, 4.0 * np.abs(d.theta).max() * t_max / steps)
-    bounded = values != direct
-    assert 0 < bounded.sum() < len(values)
-    assert np.all(values[bounded] <= direct[bounded])
-    assert np.all(values[bounded] > max(cutoff, floor))
+@pytest.fixture(scope="module")
+def mixing_corpus():
+    """Per mixing scan of the corpus (global, and local at the first and
+    last vertex, at 10^5 grid points): the report, the `first_below`
+    result behind it, the full-grid reference's first flat time, the least
+    grid value and the rounding slack."""
+    records, found = [], []
+    inner = det.first_below
+
+    def keep(*args, **kwargs):
+        found.append(inner(*args, **kwargs))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(det, "first_below", keep)
+        for d in _corpus_walks():
+            scans = [(det._uniform_defect(d), lambda: detect_uniform_mixing(d))]
+            for a in sorted({0, d.n - 1}):
+                fn = det._defect(det._column_probabilities(d, [a]), d.n)
+                scans.append((fn, lambda a=a: detect_local_uniform_mixing(d, a)))
+            for fn, detect in scans:
+                report = detect()
+                witness, values = _full_grid_scan(
+                    fn, d, 20.0, det.DEFAULT_MIXING_GRID, det.DEFAULT_FLAT_TOL
+                )
+                slack = det._SLACK * (1.0 + 20.0 * np.abs(d.theta).max())
+                records.append((report, found[-1], witness, float(values.min()), slack))
+    return records
 
 
-def test_screen_evaluates_the_full_objective_on_few_points(monkeypatch):
-    """On a seeded 10-vertex graph both mixing scans evaluate their
-    objective on under an eighth of the 10^5-point grid, zooms included."""
+def test_certified_scan_matches_the_full_grid(mixing_corpus):
+    """Global and local mixing at 10^5 points reach the verdicts of the
+    full-grid reference scan, with witness times within 1e-6, on atlas
+    graphs on 2-5 vertices, seeded plain and oriented G(8-12) walks and the
+    flux triangle."""
+    for report, _, witness, _, _ in mixing_corpus:
+        assert report.verdict == ("yes" if witness is not None else "no")
+        if witness is not None:
+            assert abs(report.witness_time - witness) <= 1e-6
+    assert {r.verdict for r, *_ in mixing_corpus} == {"yes", "no"}
+
+
+def test_no_lower_bounds_hold_on_a_dense_grid(mixing_corpus):
+    """Every "no" carries a lower bound above flat_tol, and the objective
+    never goes below it, less the rounding slack, on the dense 10^5-point
+    grid; the least value it reports is one the objective takes."""
+    checked = 0
+    for report, found, _, dense_min, slack in mixing_corpus:
+        if report.verdict != "no":
+            continue
+        assert found.lower_bound > det.DEFAULT_FLAT_TOL
+        assert dense_min >= found.lower_bound - slack
+        assert report.residual == found.value >= dense_min - 1e-12
+        checked += 1
+    assert checked > 100
+
+
+def test_transfer_witness_matches_the_full_grid(monkeypatch):
+    """pgst_witness_search between the first and last vertex finds a time
+    within 10 accept_tol exactly when the full 10^-2 grid and its zooms do,
+    and without one its least value is no lower than the grid's floor."""
+    scan, scored = det._certified_scan, []
+
+    def keep(value_fn, *args):
+        scored.append(value_fn)
+        return scan(value_fn, *args)
+
+    monkeypatch.setattr(det, "_certified_scan", keep)
+    walks, hits = _corpus_walks(), 0
+    for d in walks:
+        best = pgst_witness_search(vertex_state(d.n, 0), vertex_state(d.n, d.n - 1), d, 6.0)
+        ts = np.linspace(0.0, 6.0, 601)
+        _, floor = scan_minima(
+            ts,
+            _grid_values(scored[-1], d, ts),
+            lambda lo, step, count: scored[-1](*det._phases(lo + step * np.arange(count), d.theta)),
+            1e-7,
+        )
+        assert (best.residual <= 1e-7) == (floor <= 1e-7)
+        assert best.residual >= floor - 1e-12
+        hits += best.residual <= 1e-7
+    assert 0 < hits < len(walks)
+
+
+def test_no_scans_evaluate_few_points(monkeypatch):
+    """On a seeded 10-vertex graph both mixing scans answer "no" after
+    evaluating their objective on fewer than 500 points, where the grid has
+    10^5 + 1."""
     d = decompose_graph(random_graph(np.random.default_rng(10), 10, 0.4))
     mixing_report, points = det._mixing_report, []
 
@@ -121,7 +179,7 @@ def test_screen_evaluates_the_full_objective_on_few_points(monkeypatch):
     reports = [detect_uniform_mixing(d), detect_local_uniform_mixing(d, 0)]
     assert [r.verdict for r in reports] == ["no", "no"]
     assert len(points) == 2
-    assert all(0 < count < (det.DEFAULT_MIXING_GRID + 1) / 8 for count in points)
+    assert all(0 < count < 500 for count in points)
 
 
 def _slope_walks():
@@ -129,39 +187,52 @@ def _slope_walks():
     return [spectral_decompose(FLUX_TRIANGLE), *_random_walks(21, 2)]
 
 
-def _assert_slope_bounded(value_fn, d, t_max=5.0, points=20001):
+def _assert_slope_bounded(value_fn, d, slope, t_max=5.0, points=20001):
     ts = np.linspace(0.0, t_max, points)
     values = value_fn(*det._phases(ts, d.theta))
-    slope = 2.0 * np.abs(d.theta).max()
     assert np.abs(np.diff(values)).max() <= slope * (ts[1] - ts[0]) + 1e-12
 
 
 def test_mixing_objectives_obey_the_slope_bound(monkeypatch):
-    """On a dense grid the local and global mixing defects, the global one
-    both stacked and over column blocks, change by at most 2 max|theta| per
-    unit time: the constant the screen's lower bounds rest on."""
+    """On a dense grid the local defect at a changes by at most
+    Delta H(e_a) per unit time, and the global defect, both stacked and over
+    column blocks, by at most the largest Delta H(e_j).  On a plain graph
+    Delta H(e_a) is sqrt(deg a)."""
     for d in _slope_walks():
+        spreads = det._spreads(d)
+        h = np.asarray(d.source)
+        direct = np.sqrt((np.abs(h) ** 2).sum(axis=0) - np.abs(h.diagonal()) ** 2)
+        assert np.abs(spreads - direct).max() <= 1e-12
         for a in range(d.n):
-            _assert_slope_bounded(det._defect(det._column_probabilities(d, [a]), d.n), d)
-        _assert_slope_bounded(det._uniform_defect(d), d)
+            _assert_slope_bounded(det._defect(det._column_probabilities(d, [a]), d.n), d, spreads[a])
+        _assert_slope_bounded(det._uniform_defect(d), d, spreads.max())
         with monkeypatch.context() as m:
             m.setattr(det, "_CHUNK_BYTES", 16 * 20001 * d.n * 2)  # two columns a block
-            _assert_slope_bounded(det._uniform_defect(d), d)
+            _assert_slope_bounded(det._uniform_defect(d), d, spreads.max())
+    g = random_graph(np.random.default_rng(4), 9, 0.5)
+    degrees = np.bincount(np.array(sorted(g.edges)).ravel(), minlength=g.n)
+    assert np.allclose(det._spreads(decompose_graph(g)), np.sqrt(degrees), atol=1e-12)
 
 
 def test_transfer_objective_obeys_the_slope_bound(monkeypatch):
     """||U(t) P U(-t) - Q||, as pgst_witness_search scores it, changes by
-    at most 2 max|theta| per unit time between vertex states."""
-    scan, objectives = det._scan_spectral, []
+    at most ||[H, P]||_F per unit time, on vertex and mixed states."""
+    scan, seen = det._certified_scan, []
 
-    def capture(value_fn, *args, **kwargs):
-        objectives.append(value_fn)
-        return scan(value_fn, *args, **kwargs)
+    def capture(value_fn, d, t_max, slope, *args):
+        seen.append((value_fn, slope))
+        return scan(value_fn, d, t_max, slope, *args)
 
-    monkeypatch.setattr(det, "_scan_spectral", capture)
+    monkeypatch.setattr(det, "_certified_scan", capture)
     for d in _slope_walks():
-        pgst_witness_search(vertex_state(d.n, 0), vertex_state(d.n, d.n - 1), d, 1.0)
-        _assert_slope_bounded(objectives[-1], d)
+        n = d.n
+        mixed = det.density_matrix(np.diag(np.arange(1.0, n + 1)) / (n * (n + 1) / 2))
+        for p in (vertex_state(n, 0), vertex_state(n, n - 1), mixed):
+            pgst_witness_search(p, vertex_state(n, n - 1), d, 1.0)
+            value_fn, slope = seen[-1]
+            h = np.asarray(d.source)
+            assert abs(slope - np.linalg.norm(h @ p.matrix - p.matrix @ h)) <= 1e-12
+            _assert_slope_bounded(value_fn, d, slope)
 
 
 def test_column_blocks_match_the_stacked_objective(monkeypatch):

@@ -1,4 +1,4 @@
-"""The shared time-scan minimizer against objectives with known minima."""
+"""The shared time scans against objectives with known minima."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from qwalk import decompose_graph, detect_uniform_mixing, path_graph
 from qwalk import timescan
-from qwalk.timescan import scan_minima
+from qwalk.timescan import first_below, scan_minima
 
 
 def _sampled(fn, t_max: float, points: int):
@@ -117,6 +117,84 @@ def test_masked_minima_match_the_reference_loop():
             assert runs[0] == runs[1]
             cases += bool(runs[0][1])
     assert cases > 300
+
+
+def _counted(fn):
+    """fn as a values_at callback that records the times it is asked for."""
+    asked = []
+
+    def values_at(ts):
+        asked.append(np.array(ts))
+        return fn(np.asarray(ts))
+
+    return values_at, asked
+
+
+def test_first_below_evaluates_a_constant_once():
+    """A zero slope means a constant objective: one evaluation, at t = 0,
+    decides both ways."""
+    for level, hit in ((0.0, True), (0.5, False)):
+        values_at, asked = _counted(lambda t: np.full(len(t), level))
+        found = first_below(values_at, 7.0, 0.0, 1e-9, 0.1)
+        assert (found.hit, found.t, found.value, found.evaluations) == (hit, 0.0, level, 1)
+        assert [a.tolist() for a in asked] == [[0.0]]
+
+
+def test_first_below_hit_at_zero():
+    """|sin t| is 0 at t = 0, a sample point: the witness is t = 0 itself."""
+    found = first_below(lambda t: np.abs(np.sin(t)), 10.0, 1.0, 1e-9, 10.0 / 1000)
+    assert found.hit and found.t == 0.0 and found.value == 0.0
+
+
+def test_first_below_returns_the_earlier_of_two_hits():
+    """Zeros at 2.3 and at the sample point 6.25: the later one is hit by the
+    first samples, and refinement still finds the earlier one."""
+    fn = lambda t: np.minimum(np.abs(t - 2.3), 0.5 * np.abs(t - 6.25))
+    found = first_below(fn, 10.0, 1.0, 1e-9, 1e-3)
+    assert found.hit
+    assert abs(found.t - 2.3) <= 1e-12
+    assert found.value <= 1e-12
+
+
+def test_first_below_zooms_a_quadratic_touch_to_its_minimum():
+    """(t - sqrt 2)^2 first drops under 1e-9 about 3e-5 before its minimum;
+    the zoom over one step either side of that first hit reaches the
+    minimum itself."""
+    root2 = math.sqrt(2.0)
+    found = first_below(lambda t: (t - root2) ** 2, 3.0, 3.2, 1e-9, 3.0 / 1000)
+    assert found.hit
+    assert abs(found.t - root2) <= 1e-10
+    assert found.value <= 1e-20
+
+
+def test_first_below_certifies_a_lower_bound():
+    """1.2 + sin(3t) stays above 0.1: the answer is no, with a lower bound
+    between the target and the true minimum 0.2, after few evaluations."""
+    fn = lambda t: 1.2 + np.sin(3.0 * t)
+    found = first_below(fn, 20.0, 3.0, 0.1, 20.0 / 10**5, slack=1e-12)
+    assert not found.hit
+    assert 0.1 < found.lower_bound <= 0.2
+    assert found.value == fn(np.array([found.t]))[0] >= 0.2 - 1e-15
+    assert found.evaluations < 2000
+
+
+def test_first_below_leaves_a_touch_within_the_slack_unresolved():
+    """A minimum within the slack above the target can neither be hit nor
+    ruled out.  At a V-shaped tip the search narrows the tip down to the
+    time resolution; at a quadratic one the live segments multiply as they
+    shrink, and the search stops at the evaluation budget.  Neither reports
+    a hit or a lower bound above the target."""
+    target, slack, tip = 1e-9, 1e-12, 1.0 / 3.0
+    cases = [
+        (lambda t: target + slack / 2 + np.abs(t - tip), 1.0, None, 1000),
+        (lambda t: target + slack / 2 + (t - tip) ** 2, 4.0, 300, 300),
+    ]
+    for fn, slope, budget, most in cases:
+        found = first_below(fn, 2.0, slope, target, 2e-5, slack=slack, max_evaluations=budget)
+        assert not found.hit
+        assert found.lower_bound <= target < found.value
+        assert abs(found.t - tip) <= 1e-3
+        assert found.evaluations <= most
 
 
 def test_uniform_mixing_scan_memory_on_p16():
