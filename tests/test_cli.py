@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qwalk.cli
 from qwalk.cli import main
 
 
@@ -295,6 +299,23 @@ def test_bad_max_n_is_an_input_error(capsys, monkeypatch, k2_file, value):
     code, out, err = run_cli(capsys, "spectra", k2_file)
     assert code == 2 and out == ""
     assert err.startswith("input error: QWALK_MAX_N") and err.count("\n") == 1
+
+
+def test_closed_stdout_ends_without_a_traceback(p3_file):
+    """`qwalk spectra p3.txt | head -1`: once the reader has closed the pipe,
+    the write fails with EPIPE; the CLI exits 1 and prints nothing to
+    stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalk.cli.__file__)))
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from qwalk.cli import entry_point; entry_point()", "spectra", p3_file],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    child.stdout.close()  # before the child, still importing numpy, can write
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=120) == 1
+    assert "Traceback" not in err and err == ""
 
 
 def test_byte_identical_reruns(capsys, p3_file):

@@ -277,6 +277,17 @@ def test_pgst_candidates_cap(decomp):
     assert err.value.count == 2**21
 
 
+def test_pgst_cap_message_names_the_pair_count():
+    """The message states the exponent, not 2^k in decimal: at k = 20,000
+    that would have 6,021 digits, past Python's default limit for converting
+    an int to str."""
+    err = EnumerationCapExceeded(20000)
+    assert str(err) == "would enumerate 2^20000 sign patterns (20000 off-diagonal pairs)"
+    assert err.count == 2**20000
+    with pytest.raises(ValueError):
+        str(err.count)
+
+
 def test_pgst_witness_search_k2(k2, decomp):
     best = pgst_witness_search(vertex_state(2, 0), vertex_state(2, 1), decomp(k2), t_max=2.0)
     assert abs(best.t - math.pi / 2) <= 1e-9
