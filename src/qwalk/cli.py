@@ -600,9 +600,7 @@ def entry_point() -> None:  # console-script shim
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout (`qwalk spectra g.txt | head -1`): point it
-        # at devnull so that the flush at exit fails quietly too
+    except BrokenPipeError:  # the reader closed stdout (`| head -1`); devnull quiets the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_FAILURE
     sys.exit(code)

@@ -47,11 +47,7 @@ _CHUNK_BYTES = 1 << 22
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Sign-pattern enumeration would exceed the configured cap.
-
-    Built from the pair count k, not from 2^k, whose decimal form can pass
-    Python's integer-to-string limit at n = 512.
-    """
+    """Sign-pattern enumeration would exceed the configured cap (2^pairs, never formatted)."""
 
     def __init__(self, pairs: int):
         super().__init__(f"would enumerate 2^{pairs} sign patterns ({pairs} off-diagonal pairs)")
@@ -317,15 +313,11 @@ _SLACK = 1e-12
 
 
 def _spreads(d: SpectralDecomposition) -> np.ndarray:
-    """Delta H(e_j) for every vertex j: the spread of theta under the weights
-    ||E_r e_j||^2, which is sqrt(||H e_j||^2 - <e_j, H e_j>^2) for the H the
-    decomposition evolves by.
-
-    For rho = U(t) e_j e_j* U(t)*, d/dt |U(t)_ij|^2 = <e_i, i[H, rho] e_i>,
-    and i[H, rho] has eigenvalues +-Delta H(e_j) at every t, as U(t) commutes
-    with H: Delta H(e_a) bounds the slope of the local defect at a, and the
-    largest of them that of the global defect.
-    """
+    """Delta H(e_j) = sqrt(||H e_j||^2 - <e_j, H e_j>^2) for every vertex j, the
+    spread of theta under the weights ||E_r e_j||^2.  With rho = U e_j e_j* U*,
+    d/dt |U(t)_ij|^2 = <e_i, i[H, rho] e_i> and i[H, rho] has eigenvalues
+    +-Delta H(e_j) at every t, so Delta H(e_j) bounds the slope of column j's
+    defect."""
     weights = np.add.reduceat(np.abs(d.vectors) ** 2, d.bounds[:-1], axis=1)
     mean = weights @ d.theta
     return np.sqrt((weights * (d.theta[None, :] - mean[:, None]) ** 2).sum(axis=1))
@@ -334,14 +326,10 @@ def _spreads(d: SpectralDecomposition) -> np.ndarray:
 def _certified_scan(
     value_fn, d: SpectralDecomposition, t_max: float, slope: float, target: float, steps: int
 ):
-    """`timescan.first_below` on value_fn, a function of (cos(t theta), sin(t theta)).
-
-    value_fn changes by at most `slope` per unit time and runs on batches of
-    at most _CHUNK_BYTES // (16 n^2) times, always on direct cos and sin.  A
-    witness is the earliest to within one step t_max / steps.  Short of a
-    witness the search evaluates at most as many points as the
-    (steps + 1)-point grid holds, and is left unresolved past that.
-    """
+    """`timescan.first_below` on value_fn, a function of (cos(t theta), sin(t theta))
+    with slope at most `slope`, run on batches of at most _CHUNK_BYTES // (16 n^2)
+    times: the earliest hit to within t_max / steps, and at most steps + 1
+    evaluations, as many as the grid it replaces, before a witness."""
     _check_t_max(t_max)
     chunk = max(1, _CHUNK_BYTES // (16 * max(d.n, 1) ** 2))
 
@@ -349,8 +337,7 @@ def _certified_scan(
         slices = (ts[lo : lo + chunk] for lo in range(0, len(ts), chunk))
         return np.concatenate([value_fn(*_phases(part, d.theta)) for part in slices])
 
-    largest = float(np.abs(d.theta).max()) if d.m else 0.0
-    slack = _SLACK * (1.0 + t_max * largest)
+    slack = _SLACK * (1.0 + t_max * float(np.abs(d.theta).max()))
     return first_below(values_at, t_max, slope, target, t_max / steps, slack, steps + 1)
 
 
@@ -504,31 +491,18 @@ def _mixing_report(
     grid_points: int,
     extra_warnings: tuple[str, ...],
 ) -> DetectionReport:
-    """Search a flatness defect, value_fn of (cos(t theta), sin(t theta)), for a flat time.
-
-    The defect changes by at most `slope` per unit time, so `_certified_scan`
-    either finds the earliest time, to within one grid step
-    t_max / max(64, grid_points), at which it is at most flat_tol and reports
-    the refined minimum there, or proves a lower bound above flat_tol on the
-    whole window [0, t_max].  A "no" reports the least value evaluated.
-    """
+    """The earliest flat time, to within one grid step t_max / max(64, grid_points),
+    of a defect with slope at most `slope` (`_certified_scan`), or a lower bound
+    above flat_tol on [0, t_max]; a "no" reports the least value evaluated."""
     scan = _certified_scan(value_fn, d, t_max, slope, flat_tol, max(64, int(grid_points)))
     if scan.hit:
         return DetectionReport("yes", witness_time=scan.t, residual=scan.value, warnings=extra_warnings)
+    lb, verdict = scan.lower_bound, "no" if scan.lower_bound > flat_tol else "inconclusive"
+    reason = f"certified lower bound {lb:g} above flatness tolerance {flat_tol:g} (slope bound {slope:g})"
+    if verdict == "inconclusive":
+        reason = f"search unresolved after {scan.evaluations} evaluations: lower bound {lb:g}"
     window = (f"semi-decision: searched t in [0, {t_max:g}] only",)
-    if scan.lower_bound > flat_tol:
-        reason = (
-            f"certified lower bound {scan.lower_bound:g} above flatness tolerance {flat_tol:g} "
-            f"(slope bound {slope:g})"
-        )
-        return DetectionReport("no", residual=scan.value, reason=reason, warnings=extra_warnings + window)
-    reason = (
-        f"scan unresolved after {scan.evaluations} evaluations: the least value {scan.value:g} "
-        f"is above flatness tolerance {flat_tol:g}, the lower bound {scan.lower_bound:g} is not"
-    )
-    return DetectionReport(
-        "inconclusive", residual=scan.value, reason=reason, warnings=extra_warnings + window
-    )
+    return DetectionReport(verdict, residual=scan.value, reason=reason, warnings=extra_warnings + window)
 
 
 def detect_local_uniform_mixing(
@@ -548,8 +522,7 @@ def detect_local_uniform_mixing(
     failed ratio condition rules mixing out; for plain graphs and other
     Hermitian walks the same check is advisory only.  Stage two searches the
     max-entry probability defect of U(t) e_a, whose slope is at most
-    Delta H(e_a) (sqrt(deg a) on a graph), for its earliest flat time, or
-    proves it above flat_tol on [0, t_max] (`_mixing_report`).
+    Delta H(e_a) (sqrt(deg a) on a graph), for a flat time (`_mixing_report`).
 
     With `oriented=None` the walk counts as oriented iff its source matrix
     is exactly -iS for a nonzero real S: purely imaginary, as
@@ -597,9 +570,7 @@ def detect_uniform_mixing(
     """Is there one time at which every vertex state mixes uniformly?
 
     The objective is the largest defect over all n^2 entries of U(t), and its
-    slope is at most max_j Delta H(e_j).  Like the local scan it is searched
-    for its earliest flat time, or proved above flat_tol on [0, t_max]
-    (`_mixing_report`).
+    slope is at most max_j Delta H(e_j) (`_mixing_report`).
     """
     slope = float(_spreads(d).max(initial=0.0))
     return _mixing_report(d, _uniform_defect(d), slope, t_max, flat_tol, grid_points, ())

@@ -9,6 +9,7 @@ zooms the minima of the oracle's sampled grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,10 @@ def _zoom(evaluate, lo, hi, best_t: float, best_v: float, time_resolution: float
 
 @dataclass(frozen=True)
 class FirstBelow:
-    """What `first_below` found on [0, t_max].
-
-    With `hit`, t is the witness and value <= target.  Otherwise t and value
-    are the least value evaluated, and F > target holds on the whole window
-    iff lower_bound > target; else the search was left unresolved.
-    """
+    """With `hit`, t is the witness and value <= target.  Otherwise t and value
+    are the least value evaluated, and F > target on [0, t_max] is proved iff
+    lower_bound > target.  `evaluations` counts the search's points, not the
+    witness zoom's."""
 
     hit: bool
     t: float
@@ -52,84 +51,56 @@ class FirstBelow:
 
 
 def first_below(
-    values_at,
-    t_max: float,
-    slope: float,
-    target: float,
-    step: float,
-    slack: float = 0.0,
-    max_evaluations: int | None = None,
-    time_resolution: float = TIME_RESOLUTION,
+    values_at, t_max: float, slope: float, target: float, step: float, slack: float = 0.0,
+    max_evaluations: float = math.inf,
 ) -> FirstBelow:
     """The earliest t in [0, t_max] with F(t) <= target, or a proof that none exists.
 
-    values_at(ts) gives F at an array of times, and F changes by at most
-    `slope` per unit time, so on a segment [a, b] it stays at or above the
-    Piyavskii-Shubert bound (F(a) + F(b) - slope (b - a)) / 2, less `slack`
-    for rounding.  F is sampled on 65 points; then every round splits each
-    live segment, one whose bound is at most target, at the bound's argmin
-    clipped to its middle half, and evaluates all new points as one batch.
-    Once a point w has F(w) <= target, segments that start at or after
-    w - step are dropped, so the earliest such point is found to within one
-    `step`; the reported witness is `_zoom`'s minimum over [w - step, w + step].
-    With no point found, the least segment bound is a lower bound on F over
-    the window.  A live segment shorter than `time_resolution`, or a round
-    that would pass `max_evaluations`, leaves the search unresolved.  A zero
-    slope means F is constant: it is evaluated once, at t = 0.
+    values_at(ts) gives F at an array of times.  F changes by at most `slope`
+    per unit time, so on [a, b] it stays above the Piyavskii-Shubert bound
+    (F(a) + F(b) - slope (b - a)) / 2 - slack.  After 65 samples, each round
+    splits every live segment (bound <= target) at the bound's argmin,
+    clipped to its middle half, and evaluates the new points as one batch.
+    Once F(w) <= target, segments starting at or after w - step are dropped:
+    the earliest hit is found to within `step`, and the witness is `_zoom`'s
+    minimum over [w - step, w + step].  Without a hit the least bound is a
+    lower bound on the window, unless a live segment gets shorter than
+    TIME_RESOLUTION or a round would pass max_evaluations.  A zero slope
+    means F is constant: it is evaluated once, at t = 0.
     """
-    evaluations = 0
-
-    def evaluate(ts):
-        nonlocal evaluations
-        evaluations += len(ts)
-        return values_at(ts)
-
     if slope <= 0.0:
-        v = float(evaluate(np.zeros(1))[0])
-        return FirstBelow(v <= target, 0.0, v, v, evaluations)
-    lo = np.linspace(0.0, t_max, _FIRST_SAMPLES + 1)
-    f_lo = evaluate(lo)
-    best = int(f_lo.argmin())
-    best_t, best_v = float(lo[best]), float(f_lo[best])
-    hits = np.nonzero(f_lo <= target)[0]
-    hit_t, hit_v = (float(lo[hits[0]]), float(f_lo[hits[0]])) if len(hits) else (np.inf, np.inf)
-    lo, hi, f_lo, f_hi = lo[:-1], lo[1:], f_lo[:-1], f_lo[1:]
-    lower = np.inf
+        v = float(values_at(np.zeros(1))[0])
+        return FirstBelow(v <= target, 0.0, v, v, 1)
+    seen_t = [np.linspace(0.0, t_max, _FIRST_SAMPLES + 1)]
+    seen_f = [values_at(seen_t[0])]
+    lo, hi, f_lo, f_hi = seen_t[0][:-1], seen_t[0][1:], seen_f[0][:-1], seen_f[0][1:]
+    hit_t, lower = np.inf, np.inf
     while True:
+        hit_t = min(hit_t, float(seen_t[-1][seen_f[-1] <= target].min(initial=np.inf)))
         bound = (f_lo + f_hi - slope * (hi - lo)) / 2.0 - slack
         live = (bound <= target) & (lo < hit_t - step)
         lower = min(lower, float(bound[~live].min(initial=np.inf)))
         lo, hi, f_lo, f_hi, bound = lo[live], hi[live], f_lo[live], f_hi[live], bound[live]
         if not len(lo):
             break
-        over_budget = max_evaluations is not None and evaluations + len(lo) > max_evaluations
-        if over_budget or (hi - lo).min() < time_resolution:
-            if hit_t < np.inf:
-                break
-            return FirstBelow(False, best_t, best_v, min(lower, float(bound.min())), evaluations)
+        if sum(map(len, seen_t)) + len(lo) > max_evaluations or (hi - lo).min() < TIME_RESOLUTION:
+            lower = min(lower, float(bound.min()))
+            break
         quarter = (hi - lo) / 4
         mid = np.clip((lo + hi) / 2.0 + (f_lo - f_hi) / (2.0 * slope), lo + quarter, hi - quarter)
-        f_mid = evaluate(mid)
-        k = int(f_mid.argmin())
-        if f_mid[k] < best_v:
-            best_t, best_v = float(mid[k]), float(f_mid[k])
-        hits = np.nonzero(f_mid <= target)[0]
-        if len(hits) and mid[hits[0]] < hit_t:
-            hit_t, hit_v = float(mid[hits[0]]), float(f_mid[hits[0]])
+        f_mid = values_at(mid)
+        seen_t.append(mid)
+        seen_f.append(f_mid)
         # each segment [lo, hi] becomes [lo, mid] and [mid, hi], in time order
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
         f_lo, f_hi = np.column_stack([f_lo, f_mid]).ravel(), np.column_stack([f_mid, f_hi]).ravel()
+    ts, fs = np.concatenate(seen_t), np.concatenate(seen_f)
     if hit_t == np.inf:
-        return FirstBelow(False, best_t, best_v, lower, evaluations)
-    t, v = _zoom(
-        lambda start, dt, count: evaluate(start + dt * np.arange(count)),
-        max(0.0, hit_t - step),
-        min(t_max, hit_t + step),
-        hit_t,
-        hit_v,
-        time_resolution,
-    )
-    return FirstBelow(True, t, v, lower, evaluations)
+        k = int(fs.argmin())
+        return FirstBelow(False, float(ts[k]), float(fs[k]), lower, len(ts))
+    bracket = (max(0.0, hit_t - step), min(t_max, hit_t + step), hit_t, float(fs[ts == hit_t][0]))
+    t, v = _zoom(lambda a, dt, k: values_at(a + dt * np.arange(k)), *bracket, TIME_RESOLUTION)
+    return FirstBelow(True, t, v, lower, len(ts))
 
 
 def scan_minima(

@@ -119,11 +119,14 @@ def test_masked_minima_match_the_reference_loop():
     assert cases > 300
 
 
-def _counted(fn):
-    """fn as a values_at callback that records the times it is asked for."""
+def _batched(fn):
+    """fn as a values_at callback that records each batch of times it is
+    asked for, and rejects an empty batch, which the detectors' callbacks
+    cannot evaluate."""
     asked = []
 
     def values_at(ts):
+        assert len(ts) > 0
         asked.append(np.array(ts))
         return fn(np.asarray(ts))
 
@@ -134,7 +137,7 @@ def test_first_below_evaluates_a_constant_once():
     """A zero slope means a constant objective: one evaluation, at t = 0,
     decides both ways."""
     for level, hit in ((0.0, True), (0.5, False)):
-        values_at, asked = _counted(lambda t: np.full(len(t), level))
+        values_at, asked = _batched(lambda t: np.full(len(t), level))
         found = first_below(values_at, 7.0, 0.0, 1e-9, 0.1)
         assert (found.hit, found.t, found.value, found.evaluations) == (hit, 0.0, level, 1)
         assert [a.tolist() for a in asked] == [[0.0]]
@@ -142,7 +145,7 @@ def test_first_below_evaluates_a_constant_once():
 
 def test_first_below_hit_at_zero():
     """|sin t| is 0 at t = 0, a sample point: the witness is t = 0 itself."""
-    found = first_below(lambda t: np.abs(np.sin(t)), 10.0, 1.0, 1e-9, 10.0 / 1000)
+    found = first_below(_batched(lambda t: np.abs(np.sin(t)))[0], 10.0, 1.0, 1e-9, 10.0 / 1000)
     assert found.hit and found.t == 0.0 and found.value == 0.0
 
 
@@ -150,7 +153,7 @@ def test_first_below_returns_the_earlier_of_two_hits():
     """Zeros at 2.3 and at the sample point 6.25: the later one is hit by the
     first samples, and refinement still finds the earlier one."""
     fn = lambda t: np.minimum(np.abs(t - 2.3), 0.5 * np.abs(t - 6.25))
-    found = first_below(fn, 10.0, 1.0, 1e-9, 1e-3)
+    found = first_below(_batched(fn)[0], 10.0, 1.0, 1e-9, 1e-3)
     assert found.hit
     assert abs(found.t - 2.3) <= 1e-12
     assert found.value <= 1e-12
@@ -161,7 +164,7 @@ def test_first_below_zooms_a_quadratic_touch_to_its_minimum():
     the zoom over one step either side of that first hit reaches the
     minimum itself."""
     root2 = math.sqrt(2.0)
-    found = first_below(lambda t: (t - root2) ** 2, 3.0, 3.2, 1e-9, 3.0 / 1000)
+    found = first_below(_batched(lambda t: (t - root2) ** 2)[0], 3.0, 3.2, 1e-9, 3.0 / 1000)
     assert found.hit
     assert abs(found.t - root2) <= 1e-10
     assert found.value <= 1e-20
@@ -171,7 +174,7 @@ def test_first_below_certifies_a_lower_bound():
     """1.2 + sin(3t) stays above 0.1: the answer is no, with a lower bound
     between the target and the true minimum 0.2, after few evaluations."""
     fn = lambda t: 1.2 + np.sin(3.0 * t)
-    found = first_below(fn, 20.0, 3.0, 0.1, 20.0 / 10**5, slack=1e-12)
+    found = first_below(_batched(fn)[0], 20.0, 3.0, 0.1, 20.0 / 10**5, slack=1e-12)
     assert not found.hit
     assert 0.1 < found.lower_bound <= 0.2
     assert found.value == fn(np.array([found.t]))[0] >= 0.2 - 1e-15
@@ -186,11 +189,11 @@ def test_first_below_leaves_a_touch_within_the_slack_unresolved():
     a hit or a lower bound above the target."""
     target, slack, tip = 1e-9, 1e-12, 1.0 / 3.0
     cases = [
-        (lambda t: target + slack / 2 + np.abs(t - tip), 1.0, None, 1000),
+        (lambda t: target + slack / 2 + np.abs(t - tip), 1.0, math.inf, 1000),
         (lambda t: target + slack / 2 + (t - tip) ** 2, 4.0, 300, 300),
     ]
     for fn, slope, budget, most in cases:
-        found = first_below(fn, 2.0, slope, target, 2e-5, slack=slack, max_evaluations=budget)
+        found = first_below(_batched(fn)[0], 2.0, slope, target, 2e-5, slack, budget)
         assert not found.hit
         assert found.lower_bound <= target < found.value
         assert abs(found.t - tip) <= 1e-3
