@@ -121,7 +121,7 @@ def test_certified_scan_matches_the_full_grid(mixing_corpus):
 def test_no_lower_bounds_hold_on_a_dense_grid(mixing_corpus):
     """Every "no" carries a lower bound above flat_tol, and the objective
     never goes below it, less the rounding slack, on the dense 10^5-point
-    grid; the least value it reports is one the objective takes."""
+    grid; the least value it reports is no lower than the grid's minimum."""
     checked = 0
     for report, found, _, dense_min, slack in mixing_corpus:
         if report.verdict != "no":
