@@ -319,8 +319,7 @@ def _spreads(d: SpectralDecomposition) -> np.ndarray:
     +-Delta H(e_j) at every t, so Delta H(e_j) bounds the slope of column j's
     defect."""
     weights = np.add.reduceat(np.abs(d.vectors) ** 2, d.bounds[:-1], axis=1)
-    mean = weights @ d.theta
-    return np.sqrt((weights * (d.theta[None, :] - mean[:, None]) ** 2).sum(axis=1))
+    return np.sqrt((weights * (d.theta[None, :] - (weights @ d.theta)[:, None]) ** 2).sum(axis=1))
 
 
 def _certified_scan(
@@ -328,8 +327,8 @@ def _certified_scan(
 ):
     """`timescan.first_below` on value_fn, a function of (cos(t theta), sin(t theta))
     with slope at most `slope`, run on batches of at most _CHUNK_BYTES // (16 n^2)
-    times: the earliest hit to within t_max / steps, and at most steps + 1
-    evaluations, as many as the grid it replaces, before a witness."""
+    times: the earliest hit to within t_max / steps.  The work grows with t_max
+    times the slope, not with steps, so no budget is below the default grid's."""
     _check_t_max(t_max)
     chunk = max(1, _CHUNK_BYTES // (16 * max(d.n, 1) ** 2))
 
@@ -338,7 +337,8 @@ def _certified_scan(
         return np.concatenate([value_fn(*_phases(part, d.theta)) for part in slices])
 
     slack = _SLACK * (1.0 + t_max * float(np.abs(d.theta).max()))
-    return first_below(values_at, t_max, slope, target, t_max / steps, slack, steps + 1)
+    budget = max(steps, DEFAULT_MIXING_GRID) + 1
+    return first_below(values_at, t_max, slope, target, t_max / steps, slack, budget)
 
 
 def pgst_witness_search(
@@ -353,9 +353,9 @@ def pgst_witness_search(
 
     ||U(t) P U(-t) - Q|| is scored in the eigenbasis and changes by at most
     ||[H, P]||_F per unit time, so `timescan.first_below` looks for the
-    earliest time, to within `step`, where it is at most 10 accept_tol, and
-    returns the refined minimum next to it.  Without one it returns the least
-    value it evaluated, and where.
+    earliest time, to within `step` if the search completes, where it is at
+    most 10 accept_tol, and returns the refined minimum next to it.  Without
+    one it returns the least value it evaluated, and where.
     """
     _check_t_max(t_max)
     # ||U P U* - Q|| = ||Phi(t) o P^ - Q^|| with P^ = V* P V, Q^ = V* Q V and
@@ -491,16 +491,17 @@ def _mixing_report(
     grid_points: int,
     extra_warnings: tuple[str, ...],
 ) -> DetectionReport:
-    """The earliest flat time, to within one grid step t_max / max(64, grid_points),
-    of a defect with slope at most `slope` (`_certified_scan`), or a lower bound
-    above flat_tol on [0, t_max]; a "no" reports the least value evaluated."""
+    """The earliest flat time to within t_max / max(64, grid_points) of a defect with
+    slope at most `slope` (`_certified_scan`), warned if an earlier one is not ruled
+    out, or a lower bound above flat_tol; a "no" reports the least value evaluated."""
     scan = _certified_scan(value_fn, d, t_max, slope, flat_tol, max(64, int(grid_points)))
-    if scan.hit:
-        return DetectionReport("yes", witness_time=scan.t, residual=scan.value, warnings=extra_warnings)
     lb, verdict = scan.lower_bound, "no" if scan.lower_bound > flat_tol else "inconclusive"
-    reason = f"certified lower bound {lb:g} above flatness tolerance {flat_tol:g} (slope bound {slope:g})"
-    if verdict == "inconclusive":
-        reason = f"search unresolved after {scan.evaluations} evaluations: lower bound {lb:g}"
+    reason = f"search unresolved after {scan.evaluations} evaluations: lower bound {lb:g}"
+    if scan.hit:
+        early = () if lb > flat_tol else (f"{reason}; an earlier flat time is not ruled out",)
+        return DetectionReport("yes", witness_time=scan.t, residual=scan.value, warnings=extra_warnings + early)
+    if verdict == "no":
+        reason = f"certified lower bound {lb:g} above flatness tolerance {flat_tol:g} (slope bound {slope:g})"
     window = (f"semi-decision: searched t in [0, {t_max:g}] only",)
     return DetectionReport(verdict, residual=scan.value, reason=reason, warnings=extra_warnings + window)
 

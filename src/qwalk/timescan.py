@@ -38,10 +38,10 @@ def _zoom(evaluate, lo, hi, best_t: float, best_v: float, time_resolution: float
 
 @dataclass(frozen=True)
 class FirstBelow:
-    """With `hit`, t is the witness and value <= target.  Otherwise t and value
-    are the least value evaluated, and F > target on [0, t_max] is proved iff
-    lower_bound > target.  `evaluations` counts the search's points, not the
-    witness zoom's."""
+    """With `hit`, t is the witness, value <= target, and no hit before
+    t - step is proved iff lower_bound > target; without, t and value are the
+    least value evaluated, and F > target on [0, t_max] is proved iff
+    lower_bound > target.  `evaluations` excludes the witness zoom's points."""
 
     hit: bool
     t: float
@@ -63,14 +63,14 @@ def first_below(
     clipped to its middle half, and evaluates the new points as one batch.
     Once F(w) <= target, segments starting at or after w - step are dropped:
     the earliest hit is found to within `step`, and the witness is `_zoom`'s
-    minimum over [w - step, w + step].  Without a hit the least bound is a
-    lower bound on the window, unless a live segment gets shorter than
-    TIME_RESOLUTION or a round would pass max_evaluations.  A zero slope
-    means F is constant: it is evaluated once, at t = 0.
+    minimum over [w - step, w + step].  The least bound of the segments ruled
+    out bounds F on the window, or left of w - step; a live segment shorter
+    than TIME_RESOLUTION or a round past max_evaluations stops the search with
+    it at most target.  A zero slope means F is constant, evaluated at t = 0.
     """
     if slope <= 0.0:
         v = float(values_at(np.zeros(1))[0])
-        return FirstBelow(v <= target, 0.0, v, v, 1)
+        return FirstBelow(v <= target, 0.0, v, v if v > target else np.inf, 1)
     seen_t = [np.linspace(0.0, t_max, _FIRST_SAMPLES + 1)]
     seen_f = [values_at(seen_t[0])]
     lo, hi, f_lo, f_hi = seen_t[0][:-1], seen_t[0][1:], seen_f[0][:-1], seen_f[0][1:]
@@ -79,7 +79,7 @@ def first_below(
         hit_t = min(hit_t, float(seen_t[-1][seen_f[-1] <= target].min(initial=np.inf)))
         bound = (f_lo + f_hi - slope * (hi - lo)) / 2.0 - slack
         live = (bound <= target) & (lo < hit_t - step)
-        lower = min(lower, float(bound[~live].min(initial=np.inf)))
+        lower = min(lower, float(bound[bound > target].min(initial=np.inf)))
         lo, hi, f_lo, f_hi, bound = lo[live], hi[live], f_lo[live], f_hi[live], bound[live]
         if not len(lo):
             break
@@ -88,9 +88,8 @@ def first_below(
             break
         quarter = (hi - lo) / 4
         mid = np.clip((lo + hi) / 2.0 + (f_lo - f_hi) / (2.0 * slope), lo + quarter, hi - quarter)
-        f_mid = values_at(mid)
         seen_t.append(mid)
-        seen_f.append(f_mid)
+        seen_f.append(f_mid := values_at(mid))
         # each segment [lo, hi] becomes [lo, mid] and [mid, hi], in time order
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
         f_lo, f_hi = np.column_stack([f_lo, f_mid]).ravel(), np.column_stack([f_mid, f_hi]).ravel()

@@ -68,7 +68,7 @@ def _corpus_walks():
     """The flux triangle, seeded plain and oriented G(8-12) walks and the
     atlas graphs on 2-5 vertices."""
     nx = pytest.importorskip("networkx")
-    walks = [spectral_decompose(FLUX_TRIANGLE), *_random_walks(13, 4)]
+    walks = [spectral_decompose(FLUX_TRIANGLE), *_random_walks(13, 5)]
     for ag in nx.graph_atlas_g():
         if 2 <= ag.number_of_nodes() <= 5 and ag.number_of_edges():
             g = Graph.from_edges(ag.number_of_nodes(), [tuple(sorted(e)) for e in ag.edges()])
@@ -180,6 +180,42 @@ def test_no_scans_evaluate_few_points(monkeypatch):
     assert [r.verdict for r in reports] == ["no", "no"]
     assert len(points) == 2
     assert all(0 < count < 500 for count in points)
+
+
+def test_coarse_grids_keep_the_full_search_budget():
+    """grid_points sets only the witness resolution: on K2, flat at every
+    pi/4 + k pi/2, global mixing at 64 points still resolves windows holding
+    13 to 382 flat times, with a flat witness within one grid step of pi/4,
+    and a transfer search on K2 with weight 4 over a window shorter than 64
+    of its steps still refines to the exact transfer at pi/8."""
+    k2 = decompose_graph(Graph.from_edges(2, [(0, 1)]))
+    for t_max in (20.0, 100.0, 600.0):
+        report = detect_uniform_mixing(k2, t_max=t_max, grid_points=64)
+        assert (report.verdict, report.warnings) == ("yes", ())
+        k = (report.witness_time - np.pi / 4) / (np.pi / 2)
+        assert abs(k - round(k)) <= 1e-10
+        assert report.witness_time <= np.pi / 4 + t_max / 64
+    weighted = spectral_decompose(np.array([[0.0, 4.0], [4.0, 0.0]], dtype=complex))
+    best = pgst_witness_search(vertex_state(2, 0), vertex_state(2, 1), weighted, 0.5)
+    assert best.residual <= 1e-10 and abs(best.t - np.pi / 8) <= 1e-10
+
+
+def test_a_flat_time_found_before_the_search_resolves_is_flagged(monkeypatch):
+    """With the budget cut to the 65 opening samples, K2 on [0, 3 pi / 2]
+    meets its second flat time 3 pi / 4 at a sample and stops before ruling
+    out the first, pi / 4: the "yes" warns that an earlier flat time is not
+    ruled out.  The full search finds pi / 4 with no warning."""
+    k2 = decompose_graph(Graph.from_edges(2, [(0, 1)]))
+    full = detect_uniform_mixing(k2, t_max=1.5 * np.pi, grid_points=64)
+    assert (full.verdict, full.warnings) == ("yes", ())
+    assert abs(full.witness_time - np.pi / 4) <= 1e-10
+    monkeypatch.setattr(det, "DEFAULT_MIXING_GRID", 0)
+    cut = detect_uniform_mixing(k2, t_max=1.5 * np.pi, grid_points=64)
+    assert cut.verdict == "yes"
+    assert abs(cut.witness_time - 0.75 * np.pi) <= 1e-10
+    assert len(cut.warnings) == 1
+    assert cut.warnings[0].startswith("search unresolved after 65 evaluations")
+    assert cut.warnings[0].endswith("an earlier flat time is not ruled out")
 
 
 def _slope_walks():

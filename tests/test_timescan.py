@@ -154,9 +154,20 @@ def test_first_below_returns_the_earlier_of_two_hits():
     first samples, and refinement still finds the earlier one."""
     fn = lambda t: np.minimum(np.abs(t - 2.3), 0.5 * np.abs(t - 6.25))
     found = first_below(_batched(fn)[0], 10.0, 1.0, 1e-9, 1e-3)
-    assert found.hit
+    assert found.hit and found.lower_bound > 1e-9
     assert abs(found.t - 2.3) <= 1e-12
     assert found.value <= 1e-12
+
+
+def test_first_below_flags_a_hit_it_could_not_prove_earliest():
+    """Stopped by its budget right after the 65 samples, the search returns
+    the sampled zero at 6.25 with a lower bound at most the target: the
+    zero at 2.3 is not ruled out."""
+    fn = lambda t: np.minimum(np.abs(t - 2.3), 0.5 * np.abs(t - 6.25))
+    found = first_below(_batched(fn)[0], 10.0, 1.0, 1e-9, 1e-3, max_evaluations=65)
+    assert found.hit and found.evaluations == 65
+    assert abs(found.t - 6.25) <= 1e-12
+    assert found.lower_bound <= 1e-9
 
 
 def test_first_below_zooms_a_quadratic_touch_to_its_minimum():
