@@ -10,6 +10,7 @@ Commands: spectra, analyze, verify, evolve, scan, orient.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -251,7 +252,7 @@ def cmd_analyze(args) -> int:
     doc["uniform_mixing"] = detect_uniform_mixing(
         d, t_max=cfg.t_max, flat_tol=cfg.flat_tol
     ).to_json()
-    algebra = algebra_dimension(d.source, state)
+    algebra = algebra_dimension(blocks)
     doc["algebra"] = {"dim": algebra.dim, "controllable": algebra.controllable}
     if algebra.controllable and doc["pst"]["verdict"] == "yes":
         check = controllability_phase_check(state, d, doc["pst"]["witness_time"], cfg.accept_tol)
@@ -528,6 +529,7 @@ def _add_common(sub: argparse.ArgumentParser, oriented_flag: bool = True) -> Non
     sub.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwalk",
@@ -577,8 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

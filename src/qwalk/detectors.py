@@ -377,7 +377,7 @@ def pgst_witness_search(
 def _vertex_support(d: SpectralDecomposition, a: int, tol: float = 1e-8) -> EigenvalueSupport:
     idx = eigenvalue_support_indices(d, a, tol)
     pairs = frozenset((r, s) for r in idx for s in idx)
-    return EigenvalueSupport(pairs, d.theta)
+    return EigenvalueSupport(pairs)
 
 
 def _is_oriented(d: SpectralDecomposition) -> bool:

@@ -72,12 +72,6 @@ class Graph:
             a[v, u] = 1
         return a
 
-    def neighbors(self, u: int) -> list[int]:
-        return sorted(v if a == u else a for a, v in self.edges if u in (a, v))
-
-    def degree(self, u: int) -> int:
-        return sum(1 for e in self.edges if u in e)
-
 
 @dataclass(frozen=True)
 class OrientedGraph:

@@ -134,7 +134,6 @@ class EigenvalueSupport:
     """Index pairs (r, s) with E_r P E_s != 0; symmetric under swap."""
 
     pairs: frozenset[tuple[int, int]]
-    theta: np.ndarray
 
     @property
     def off_diagonal(self) -> frozenset[tuple[int, int]]:
@@ -143,9 +142,6 @@ class EigenvalueSupport:
     @property
     def diagonal(self) -> frozenset[int]:
         return frozenset(r for r, s in self.pairs if r == s)
-
-    def theta_pairs(self) -> tuple[tuple[float, float], ...]:
-        return tuple(sorted((float(self.theta[r]), float(self.theta[s])) for r, s in self.pairs))
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,7 @@ def block_decompose(
     pairs = frozenset((int(r), int(s)) for r, s in zip(*np.nonzero(keep)))
     p_hat[~np.repeat(np.repeat(keep, d.mult, axis=0), d.mult, axis=1)] = 0.0
     p_hat.setflags(write=False)
-    support = EigenvalueSupport(pairs, d.theta)
+    support = EigenvalueSupport(pairs)
     return BlockDecomposition(p_hat, d, support, float(block_tol), p)
 
 
@@ -236,72 +232,80 @@ def is_flat(v: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.abs(probs - 1.0 / v.size).max() <= tol)
 
 
+# Bytes that the closure branch of algebra_dimension may hold at once; past
+# this it raises MemoryError instead of allocating.
+ALGEBRA_BASIS_BYTES = 256 * 2**20
+
+
 @dataclass(frozen=True)
 class AlgebraReport:
     dim: int
-    controllable: bool
-    stabilized: bool  # closure reached before the word-length cap
+    controllable: bool  # dim == n^2: H and the state generate all of M_n
 
 
-def algebra_dimension(
-    h: np.ndarray,
-    p: DensityMatrix | np.ndarray,
-    cap: int | None = None,
-    tol: float = 1e-10,
-) -> AlgebraReport:
-    """Dimension of the unital algebra generated by H and the state.
+def algebra_dimension(b: BlockDecomposition) -> AlgebraReport:
+    """Dimension of the unital algebra A generated by H and the state.
 
-    Greedy closure: orthonormalize (trace inner product) the identity and the
-    generators, then repeatedly left-multiply new basis elements by each
-    generator until nothing is added, the dimension reaches n^2, or the word
-    length exceeds the cap (default 2 n^2).  Controllable means the span is
-    the full matrix algebra.  Each candidate is projected off the basis by
-    classical Gram-Schmidt, run twice, as two matrix-vector products a pass.
+    A holds every E_r (a polynomial in H), so it splits over the connected
+    components c of the support graph, whose edges are the support pairs.
+    A group outside the support adds dim 1.  For a pure state, or if every
+    group in c is simple, A_c = M(span{x_r}) + sum_r C(E_r - x^_r x^_r*),
+    of dim |c|^2 + #{r in c : d_r > 1}.  Otherwise a closure counts it.
     """
-    h = np.asarray(h, dtype=complex)
-    m = p.matrix if isinstance(p, DensityMatrix) else np.asarray(p, dtype=complex)
-    n = h.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("dimension mismatch between H and the state")
-    if cap is None:
-        cap = 2 * n * n
-    if cap < n * n:
-        raise ValueError("cap must be at least n^2")
-
-    # orthonormal rows; doubles when full, up to the n^2 rows it can ever hold
-    basis = np.empty((min(4, n * n), n * n), dtype=complex)
+    d, mult = b.decomposition, np.asarray(b.decomposition.mult)
+    keep = np.zeros((d.m, d.m), dtype=bool)
+    keep[tuple(zip(*b.support.pairs))] = True
+    # each group takes the least label among its neighbours until none changes
+    labels, old = np.arange(d.m), None
+    while not np.array_equal(labels, old):
+        old, labels = labels, np.minimum(labels, np.where(keep, labels, d.m).min(axis=1))
     dim = 0
+    for c in np.unique(labels):
+        groups = np.flatnonzero(labels == c)
+        if not keep[c, c]:
+            dim += 1
+        elif b.state.pure or (mult[groups] == 1).all():
+            dim += len(groups) ** 2 + int((mult[groups] > 1).sum())
+        else:
+            dim += _closure_dimension(b, groups)
+    return AlgebraReport(dim=dim, controllable=dim == d.n**2)
 
-    def try_add(mat: np.ndarray) -> bool:
-        nonlocal basis, dim
-        vec = mat.reshape(-1)
-        for _ in range(2):
-            rows = basis[:dim]
-            vec = vec - (rows @ vec.conj()).conj() @ rows
-        norm = float(np.linalg.norm(vec))
-        if norm <= tol * max(1.0, float(np.linalg.norm(mat))):
-            return False
-        if dim == len(basis):
-            grown = np.empty((min(2 * dim, n * n), n * n), dtype=complex)
-            grown[:dim] = basis
-            basis = grown
-        basis[dim] = vec / norm
-        dim += 1
-        return True
 
-    generators = (h, m)
-    frontier = []
-    for seed in (np.eye(n, dtype=complex), h, m):
-        if try_add(seed):
-            frontier.append(seed)
-    words = 1
-    while frontier and dim < n * n and words < cap:
-        words += 1
-        new_frontier = []
-        for g in generators:
-            for b in frontier:
-                candidate = g @ b
-                if try_add(candidate):
-                    new_frontier.append(candidate)
-        frontier = new_frontier
-    return AlgebraReport(dim=dim, controllable=dim == n * n, stabilized=not frontier or dim == n * n)
+def _closure_dimension(b: BlockDecomposition, groups: np.ndarray) -> int:
+    """dim A_c as the sum of dim E_r A E_s over the groups r, s of c.
+
+    E_r A E_s is spanned by E_r (if r = s) and the products of blocks
+    P^_r,t1 ... P^_tk,s along walks of the support graph, each block scaled
+    to norm 1, so no word grows.  Each slot (r, s) keeps orthonormal rows;
+    a round multiplies the rows that the last one added by P^_c on the left.
+    """
+    d = b.decomposition
+    sizes = np.asarray(d.mult)[groups]
+    at = np.cumsum([0, *sizes])
+    rows = [slice(lo, hi) for lo, hi in zip(at, at[1:])]
+    idx = np.concatenate([np.arange(d.bounds[r], d.bounds[r + 1]) for r in groups])
+    norms = np.repeat(np.repeat(d.group_norms(b.p_hat)[np.ix_(groups, groups)], sizes, 0), sizes, 1)
+    p = np.divide(b.p_hat[np.ix_(idx, idx)], norms, out=np.zeros(norms.shape, complex), where=norms > 0)
+    # the rows each round added, by column j: [(i, rows of slot (i, j)), ...]
+    fresh = {i: [(i, np.eye(k, dtype=complex).reshape(1, -1) / np.sqrt(k))] for i, k in enumerate(sizes)}
+    basis, held = {(i, i): parts[0][1] for i, parts in fresh.items()}, 0
+    while fresh:
+        added: dict[int, list] = {}
+        for j, parts in fresh.items():
+            products = 16 * at[-1] * sizes[j] * sum(len(new) for _, new in parts)
+            if held + 2 * products > ALGEBRA_BASIS_BYTES:  # y, and at most as much new basis
+                raise MemoryError(f"algebra closure needs more than {ALGEBRA_BASIS_BYTES / 2**20:g} MiB")
+            y = np.concatenate([p[:, rows[i]] @ new.reshape(-1, sizes[i], sizes[j]) for i, new in parts])
+            for q, rq in enumerate(rows):
+                cand = y[:, rq].reshape(len(y), -1)  # rows of norm <= 1
+                old = basis.get((q, j), cand[:0])
+                for _ in range(2):  # classical Gram-Schmidt, twice
+                    cand = cand - (cand @ old.conj().T) @ old
+                _, sv, vh = np.linalg.svd(cand, full_matrices=False)
+                new = vh[sv > 1e-10]
+                if len(new):
+                    held += new.nbytes
+                    basis[q, j] = np.vstack([old, new])
+                    added.setdefault(j, []).append((q, new))
+        fresh = added
+    return sum(len(x) for x in basis.values())

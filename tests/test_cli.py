@@ -293,6 +293,36 @@ def test_out_of_memory_is_a_one_line_failure(capsys, monkeypatch, k2_file):
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
 
 
+def test_analyze_p24_end_vertex_is_controllable(capsys, tmp_path):
+    """The end vertex of P24 has a simple spectrum and full support: the
+    algebra is the full M_24."""
+    path = tmp_path / "p24.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(23)))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--state", "vertex:0")
+    assert code == 0
+    assert json.loads(out)["algebra"] == {"dim": 576, "controllable": True}
+
+
+def test_algebra_budget_overrun_is_a_one_line_failure(capsys, monkeypatch, tmp_path):
+    """The mixed state (E_00 + E_11)/2 on C16 sends analyze through the
+    algebra closure; past its byte budget it exits 1 without a traceback."""
+    n = 16
+    graph, state = tmp_path / "c16.txt", tmp_path / "mixed.json"
+    graph.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+    m = np.zeros((n, n))
+    m[0, 0] = m[1, 1] = 0.5
+    state.write_text(json.dumps({"re": m.tolist(), "im": np.zeros((n, n)).tolist()}))
+    monkeypatch.setattr("qwalk.states.ALGEBRA_BASIS_BYTES", 4096)
+    code, out, err = run_cli(capsys, "analyze", str(graph), "--state", f"@{state}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory: algebra closure needs more than") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_build_parser_is_built_once():
+    assert qwalk.cli.build_parser() is qwalk.cli.build_parser()
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "2.5"])
 def test_bad_max_n_is_an_input_error(capsys, monkeypatch, k2_file, value):
     monkeypatch.setenv("QWALK_MAX_N", value)

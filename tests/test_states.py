@@ -1,4 +1,4 @@
-"""Density matrices, block structure, evolution, flat vectors, algebra closure."""
+"""Density matrices, block structure, evolution, flat vectors, the algebra of H and a state."""
 
 from __future__ import annotations
 
@@ -194,77 +194,142 @@ def test_is_flat_cases():
 
 
 def test_algebra_dimension_k2_vertex_state_controllable(k2, decomp):
-    report = algebra_dimension(k2.adjacency().astype(float), vertex_state(2, 0))
-    assert report.dim == 4 and report.controllable and report.stabilized
+    report = algebra_dimension(block_decompose(vertex_state(2, 0), decomp(k2)))
+    assert report.dim == 4 and report.controllable
 
 
-def test_algebra_dimension_commuting_pair(k2):
-    report = algebra_dimension(k2.adjacency().astype(float), maximally_mixed(2))
+def test_algebra_dimension_commuting_pair(k2, decomp):
+    report = algebra_dimension(block_decompose(maximally_mixed(2), decomp(k2)))
     assert report.dim == 2 and not report.controllable
 
 
-def test_algebra_dimension_p3_center_not_full(p3):
-    report = algebra_dimension(p3.adjacency().astype(float), vertex_state(3, 1))
+def test_algebra_dimension_p3_center_not_full(p3, decomp):
+    report = algebra_dimension(block_decompose(vertex_state(3, 1), decomp(p3)))
     assert report.dim < 9
     assert report.dim == 5  # commutant of the end-swap symmetry has dimension 5
 
 
-def _one_vector_closure(h, m, tol: float = 1e-10) -> tuple[int, bool, bool]:
-    """algebra_dimension's closure, projecting each candidate off the basis
-    one vector at a time (modified Gram-Schmidt, one pass)."""
+def _one_vector_closure(h, m, tol: float = 1e-10) -> tuple[int, bool]:
+    """The unital algebra of H and the state by a closure over words in H and
+    P, each scaled to norm 1: every new element, projected off the basis one
+    vector at a time (modified Gram-Schmidt, two passes) and normalised, is
+    multiplied on the left by both generators until nothing new appears."""
     n = h.shape[0]
     basis = []
 
-    def try_add(mat):
+    def add(mat):
         vec = mat.reshape(-1)
-        for b in basis:
-            vec = vec - np.vdot(b, vec) * b
+        for _ in range(2):
+            for b in basis:
+                vec = vec - np.vdot(b, vec) * b
         norm = float(np.linalg.norm(vec))
-        if norm <= tol * max(1.0, float(np.linalg.norm(mat))):
-            return False
+        if norm <= tol:
+            return None
         basis.append(vec / norm)
-        return True
+        return basis[-1].reshape(n, n)
 
-    frontier = [x for x in (np.eye(n, dtype=complex), h, m) if try_add(x)]
-    words = 1
-    while frontier and len(basis) < n * n and words < 2 * n * n:
-        words += 1
-        frontier = [g @ b for g in (h, m) for b in frontier if try_add(g @ b)]
-    dim = len(basis)
-    return dim, dim == n * n, not frontier or dim == n * n
+    gens = [g / np.linalg.norm(g) for g in (h, m) if np.linalg.norm(g)]
+    frontier = [y for x in [np.eye(n, dtype=complex), *gens] if (y := add(x)) is not None]
+    while frontier and len(basis) < n * n:
+        frontier = [y for g in gens for x in frontier if (y := add(g @ x)) is not None]
+    return len(basis), len(basis) == n * n
 
 
-def test_algebra_dimension_matches_the_one_vector_closure():
-    """Every vertex of the atlas graphs on 3-5 vertices, vertices and
-    two-vertex states of seeded plain and oriented G(8, 0.4), and vertex 0 of
-    the 9-vertex graph whose weak group the closure drops (dim 74)."""
+def _mixed_pair(n: int):
+    m = np.zeros((n, n))
+    m[0, 0] = m[1, 1] = 0.5
+    return density_matrix(m)
+
+
+def test_algebra_dimension_matches_the_one_vector_closure(monkeypatch):
+    """Every atlas graph on 3-5 vertices, plain and in one seeded orientation,
+    and seeded plain and oriented G(8, 0.4), over every vertex (0 and 3 at
+    n = 8), the pair (e_0 + e_{n-1})/sqrt(2), the mixed (E_00 + E_11)/2 and a
+    seeded rank-2 state.  The degenerate graphs among them (C4, K1,3, K4, ...)
+    send the mixed states through the closure branch."""
     from conftest import random_graph, random_orientation
 
     nx = pytest.importorskip("networkx")
-    from qwalk import Graph, skew_adjacency
+    from qwalk import Graph, decompose_oriented, states
+
+    rng = np.random.default_rng(9)
+
+    def corpus_states(n, vertices):
+        e = np.eye(n)
+        z = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        rank2 = 0.7 * np.outer(z[0], z[0].conj()) + 0.3 * np.outer(z[1], z[1].conj())
+        return [vertex_state(n, a) for a in vertices] + [
+            pure_state((e[0] + e[n - 1]) / np.sqrt(2)),
+            _mixed_pair(n),
+            density_matrix(rank2),
+        ]
 
     cases = []
     for ag in nx.graph_atlas_g():
-        if 3 <= ag.number_of_nodes() <= 5 and ag.number_of_edges():
+        if 3 <= ag.number_of_nodes() <= 5:
             g = Graph.from_edges(ag.number_of_nodes(), [tuple(sorted(e)) for e in ag.edges()])
-            h = g.adjacency().astype(complex)
-            cases += [(h, vertex_state(g.n, a).matrix) for a in range(g.n)]
-    rng = np.random.default_rng(9)
+            for d in (decompose_graph(g), decompose_oriented(random_orientation(rng, g))):
+                cases += [(d, s) for s in corpus_states(g.n, range(g.n))]
     for _ in range(2):
         g = random_graph(rng, 8, 0.4)
-        pair = pure_state((np.eye(8)[0] - np.eye(8)[5]) / np.sqrt(2)).matrix
-        for h in (g.adjacency().astype(complex), -1j * skew_adjacency(random_orientation(rng, g))):
-            cases += [(h, vertex_state(8, a).matrix) for a in (0, 3)] + [(h, pair)]
+        for d in (decompose_graph(g), decompose_oriented(random_orientation(rng, g))):
+            cases += [(d, s) for s in corpus_states(8, (0, 3))]
+
+    closures = []
+    closure_dimension = states._closure_dimension
+    monkeypatch.setattr(states, "_closure_dimension", lambda *a: closures.append(a) or closure_dimension(*a))
+    for d, s in cases:
+        got = algebra_dimension(block_decompose(s, d))
+        assert (got.dim, got.controllable) == _one_vector_closure(d.source, s.matrix)
+    assert len(closures) >= 50
+
+
+def test_algebra_dimension_keeps_a_weak_group():
+    """Vertex 0 of this 9-vertex graph has |x_4|^2 = 3.2e-11 on one group:
+    block_decompose keeps that group, and the spectrum is simple, so the
+    algebra is the full M_9."""
+    from qwalk import Graph
+
     edges = [(0, 1), (0, 2), (0, 4), (0, 5), (0, 7), (1, 5), (1, 7), (2, 3), (2, 4), (2, 6)]
     edges += [(3, 4), (3, 7), (3, 8), (4, 5), (4, 7), (5, 7), (5, 8), (6, 8), (7, 8)]
-    g9 = Graph.from_edges(9, edges).adjacency().astype(complex)
-    cases.append((g9, vertex_state(9, 0).matrix))
-    for h, m in cases:
-        got = algebra_dimension(h, m)
-        assert (got.dim, got.controllable, got.stabilized) == _one_vector_closure(h, m)
-    assert got.dim == 74
+    report = algebra_dimension(block_decompose(vertex_state(9, 0), decompose_graph(Graph.from_edges(9, edges))))
+    assert (report.dim, report.controllable) == (81, True)
 
 
-def test_algebra_dimension_rejects_small_cap(k2):
-    with pytest.raises(ValueError):
-        algebra_dimension(k2.adjacency().astype(float), vertex_state(2, 0), cap=2)
+@pytest.mark.parametrize("n", [8, 16, 24, 32, 64])
+def test_algebra_dimension_end_vertex_of_a_path_is_controllable(n):
+    report = algebra_dimension(block_decompose(vertex_state(n, 0), decompose_graph(path_graph(n))))
+    assert (report.dim, report.controllable) == (n * n, True)
+
+
+def test_algebra_dimension_mixed_state_on_k128():
+    """E_0 P E_0 is a scalar, E_1 P E_1 has rank 2 and E_0 P E_1 rank 1: 1 + 3 + 1 + 1 = 6."""
+    from qwalk import complete_graph
+
+    report = algebra_dimension(block_decompose(_mixed_pair(128), decompose_graph(complete_graph(128))))
+    assert (report.dim, report.controllable) == (6, False)
+
+
+def test_algebra_dimension_mixed_state_on_c16_is_the_commutant_of_its_reflection():
+    """(E_00 + E_11)/2 on C16 commutes with the reflection swapping 0 and 1,
+    whose eigenspaces both have dimension 8: the algebra is M_8 + M_8."""
+    from qwalk import cycle_graph
+
+    d, state = decompose_graph(cycle_graph(16)), _mixed_pair(16)
+    report = algebra_dimension(block_decompose(state, d))
+    assert (report.dim, report.controllable) == (128, False)
+    assert _one_vector_closure(d.source, state.matrix) == (128, False)
+
+
+def test_algebra_closure_raises_past_its_byte_budget(monkeypatch):
+    """Mixed C16 holds 128 basis rows; a 4 KiB budget stops the closure with
+    MemoryError instead of a dimension, and 1 MiB lets it finish."""
+    from qwalk import cycle_graph, states
+
+    b = block_decompose(_mixed_pair(16), decompose_graph(cycle_graph(16)))
+    monkeypatch.setattr(states, "ALGEBRA_BASIS_BYTES", 4096)
+    with pytest.raises(MemoryError, match="algebra closure needs more than 0.00390625 MiB"):
+        algebra_dimension(b)
+    monkeypatch.setattr(states, "ALGEBRA_BASIS_BYTES", 2**20)
+    assert algebra_dimension(b).dim == 128
