@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -154,8 +153,8 @@ def _irrational_witness(pairs, diffs, ref):
         if j == ref:
             continue
         ratio = diff / diffs[ref]
-        frac = Fraction(ratio).limit_denominator(_WITNESS_DEN)
-        score = abs(ratio - frac.numerator / frac.denominator)
+        p, q = _limit_denominator(ratio, _WITNESS_DEN)
+        score = abs(ratio - p / q)
         if best is None or score > best[0]:
             best = (score, pairs[j], pairs[ref], ratio)
     return best

@@ -42,7 +42,7 @@ from .graphs import (
     GraphParseError,
     OrientedGraph,
     bipartition,
-    graph_stats,
+    max_valency,
     natural_orientation,
     parse_graph,
     parse_oriented_graph,
@@ -198,7 +198,6 @@ def cmd_analyze(args) -> int:
     x = _load_graph(args.input, cfg)
     d = _decompose(x, cfg)
     state, vertex = _load_state(args.state, d.n, cfg)
-    stats = graph_stats(x)
     doc: dict = {
         "n": d.n,
         "oriented": cfg.oriented,
@@ -239,10 +238,13 @@ def cmd_analyze(args) -> int:
             max_den=cfg.max_den,
             oriented=cfg.oriented,
         ).to_json()
-        if stats.connected:
+        try:
             bounds = periodic_vertex_bounds(
                 x, d, vertex, certified_periodic=doc["periodicity"]["verdict"] == "yes"
             )
+        except ValueError:
+            pass  # the vertex is in range, so the graph is disconnected: no bounds
+        else:
             doc["vertex_bounds"] = {
                 "ecc_plus_one": bounds.ecc_plus_one,
                 "support_size": bounds.support_size,
@@ -385,8 +387,7 @@ def _verify_graph_invariants(x, d, cfg: RunConfig, rng) -> list[dict]:
     if isinstance(x, OrientedGraph):
         s_mat = skew_adjacency(x)
         add("oriented.skew_antisymmetry", np.abs(s_mat + s_mat.T).max(), 0.0)
-        stats = graph_stats(x)
-        add("oriented.eigenvalue_bound", max(0.0, float(np.abs(d.theta).max()) - stats.max_valency), cfg.tol)
+        add("oriented.eigenvalue_bound", max(0.0, float(np.abs(d.theta).max()) - max_valency(x)), cfg.tol)
         pairing = 0.0
         for r, theta in enumerate(d.theta):
             partner = d.idempotent(int(np.argmin(np.abs(d.theta + theta))))

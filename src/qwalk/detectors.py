@@ -22,7 +22,7 @@ from .certificates import (
     minimum_period,
     ratio_condition,
 )
-from .graphs import Graph, OrientedGraph, graph_stats
+from .graphs import Graph, OrientedGraph, eccentricity, max_valency
 from .spectral import SpectralDecomposition, eigenvalue_support_indices, transition_matrix
 from .states import (
     BlockDecomposition,
@@ -598,12 +598,11 @@ def periodic_vertex_bounds(
     periodic vertex the support also fits into 2 * max_valency + 1 slots, so
     `consistent` includes that upper bound when requested.
     """
-    stats = graph_stats(x)
-    if not stats.connected:
+    ecc = eccentricity(x, a)
+    if ecc is None:
         raise ValueError("bounds require a connected graph")
     support_size = len(eigenvalue_support_indices(d, a, tol))
-    ecc = stats.eccentricity[a]
-    upper = 2 * stats.max_valency + 1
+    upper = 2 * max_valency(x) + 1
     consistent = ecc + 1 <= support_size
     if certified_periodic:
         consistent = consistent and support_size <= upper

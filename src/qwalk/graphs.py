@@ -400,44 +400,59 @@ class GraphStats:
     eccentricity: tuple[int, ...] | None  # None when disconnected
 
 
+def _neighbours(x: Graph | OrientedGraph) -> list[list[int]]:
+    """Adjacency lists of the underlying undirected graph."""
+    g = x.underlying() if isinstance(x, OrientedGraph) else x
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _eccentricity(adj: list[list[int]], start: int) -> int | None:
+    """Greatest breadth-first distance from start, or None if some vertex is unreached."""
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] == -1:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return max(dist) if min(dist) >= 0 else None
+
+
 def graph_stats(x: Graph | OrientedGraph) -> GraphStats:
     """Maximum (total) valency, connectivity, and per-vertex eccentricity.
 
     Oriented graphs are measured on their underlying undirected graph;
     eccentricities are undefined (None) for disconnected inputs.
     """
-    g = x.underlying() if isinstance(x, OrientedGraph) else x
-    if g.n == 0:
-        return GraphStats(0, True, ())
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    max_valency = max((len(a) for a in adj), default=0)
+    adj = _neighbours(x)
+    valency = max(map(len, adj), default=0)
     ecc = []
-    connected = True
-    for start in range(g.n):
-        dist = [-1] * g.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if min(dist) < 0:
-            connected = False
-            break
-        ecc.append(max(dist))
-    return GraphStats(max_valency, connected, tuple(ecc) if connected else None)
+    for start in range(len(adj)):
+        e = _eccentricity(adj, start)
+        if e is None:
+            return GraphStats(valency, False, None)
+        ecc.append(e)
+    return GraphStats(valency, True, tuple(ecc))
 
 
-def eccentricity(x: Graph | OrientedGraph, a: int) -> int:
-    stats = graph_stats(x)
-    if stats.eccentricity is None:
-        raise ValueError("eccentricity undefined for disconnected graphs")
-    return stats.eccentricity[a]
+def max_valency(x: Graph | OrientedGraph) -> int:
+    """Maximum (total) valency of the underlying undirected graph."""
+    return max(map(len, _neighbours(x)), default=0)
+
+
+def eccentricity(x: Graph | OrientedGraph, a: int) -> int | None:
+    """ecc(a) on the underlying undirected graph, from one breadth-first
+    search from a; None when the graph is disconnected."""
+    adj = _neighbours(x)
+    if not 0 <= a < len(adj):
+        raise ValueError("vertex index out of range")
+    return _eccentricity(adj, a)
 
 
 # -- small named graphs used throughout tests and demos ----------------------

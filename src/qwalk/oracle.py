@@ -11,6 +11,14 @@ Unitary grids are built by doubling, U((f + j)h) = U(fh) U(jh), one batched
 product per doubling.  Return and transfer scans between pure states read one
 column of U(t): since U(t) is unitary, ||U xx* U* - yy*||_F equals
 sqrt(2) ||Ux - <y, Ux> y||, which needs no (grid, n, n) product.
+
+A zoom level is U(lo + j dt) = U(j dt) U(lo), j < 65: one batched product of
+the ladder U(j dt) with the base U(lo).  Every zoom step is the grid step
+times a power of two, so all zooms of one H ask for a few ladders, which are
+built once by doubling and kept for the current H up to _LADDER_BYTES.  The
+base is a fresh exponential at a zoom's first level, not an entry of the
+doubled main grid, whose round-off it would carry into every level below;
+each deeper level takes it from the previous level, of which lo is a point.
 """
 
 from __future__ import annotations
@@ -32,11 +40,19 @@ DEFAULT_RECORD_BELOW = 1e-7
 # round-off.
 _RESYNC_EVERY = 1024
 
+# Zoom ladders kept for the current H hold at most this many bytes in all; a
+# ladder past the bound is built and used but not kept.
+_LADDER_BYTES = 32 * 2**20
+
 # A state is taken as the pure state xx* only if it matches xx* this closely.
 _PURE_TOL = 1e-14
 
 # (key, grid) of the most recently built unitary grid, or ().
 _last_grid: tuple = ()
+
+# (H key, {(step, count): ladder}) of the zoom ladders kept for the most
+# recently zoomed H, or ().
+_ladders: tuple = ()
 
 
 def dense_expm(m: np.ndarray) -> np.ndarray:
@@ -94,6 +110,52 @@ def unitary_grid(h: np.ndarray, t0: float, step: float, count: int) -> np.ndarra
     out.setflags(write=False)
     _last_grid = (key, out)
     return out
+
+
+def _ladder(h: np.ndarray, h_key: tuple, step: float, count: int) -> np.ndarray:
+    """The zoom ladder U(j*step), j < count, kept per step for the current H.
+
+    Ladders of another H are dropped first.  Kept ladders hold at most
+    _LADDER_BYTES in all.
+    """
+    global _ladders
+    if not _ladders or _ladders[0] != h_key:
+        _ladders = (h_key, {})
+    kept = _ladders[1]
+    ladder = kept.get((step, count))
+    if ladder is None:
+        ladder = _build_grid(h, 0.0, step, count)
+        if ladder.nbytes + sum(x.nbytes for x in kept.values()) <= _LADDER_BYTES:
+            kept[(step, count)] = ladder
+    return ladder
+
+
+def _zoom_levels(h: np.ndarray, objective):
+    """The refinement callback of one scan: the objective on U(lo + j*step), j < count.
+
+    A level is ladder(step) @ U(lo), one batched product.  U(lo) is a fresh
+    exponential at a zoom's first level.  At a deeper level, whose step is
+    below the previous level's, lo is a point of the previous level, and U(lo)
+    is that level's entry there.
+    """
+    h_key = (h.tobytes(), h.shape[0])
+    parent: tuple = ()  # (lo, step, grid) of the previous level
+
+    def level(lo: float, step: float, count: int) -> np.ndarray:
+        nonlocal parent
+        base = None
+        if parent and step < parent[1]:
+            p_lo, p_step, p_grid = parent
+            j = round((lo - p_lo) / p_step)
+            if 0 <= j < len(p_grid) and p_lo + p_step * j == lo:
+                base = p_grid[j]
+        if base is None:
+            base = _unitary_at(h, lo)
+        grid = _ladder(h, h_key, step, count) @ base
+        parent = (lo, step, grid)
+        return objective(grid)
+
+    return level
 
 
 @dataclass(frozen=True)
@@ -196,7 +258,7 @@ def _scan(
     minima, floor = scan_minima(
         t0 + step * np.arange(count),
         values,
-        lambda lo, dt, k: objective(_build_grid(h, lo, dt, k)),
+        _zoom_levels(h, objective),
         # a minimum can only dip below record_below if its grid value is
         # within one slope-bounded step of it
         max(10.0 * record_below, 2.0 * _slope_bound(h) * step),

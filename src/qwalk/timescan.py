@@ -19,12 +19,15 @@ _ZOOM_POINTS = 65
 _FIRST_SAMPLES = 64
 
 
-def _zoom(evaluate, lo, hi, best_t: float, best_v: float, time_resolution: float):
-    """Shrink [lo, hi] around a local minimum by re-sampling it on 65 points."""
-    while hi - lo > time_resolution:
-        step = (hi - lo) / (_ZOOM_POINTS - 1)
-        if step <= time_resolution / 4:
-            break
+def _zoom(evaluate, lo, width, best_t: float, best_v: float, time_resolution: float):
+    """Shrink [lo, lo + width] around a local minimum by re-sampling it on 65 points.
+
+    Each level keeps the samples either side of its least one, so the next
+    width is 2 steps inside and 1 step at an edge: every level's step is the
+    opening width times an exact power of two, and each level's lo is a
+    point of the level before.
+    """
+    while (step := width / (_ZOOM_POINTS - 1)) > time_resolution / 4:
         ts = lo + step * np.arange(_ZOOM_POINTS)
         values = evaluate(lo, step, _ZOOM_POINTS)
         k = int(values.argmin())
@@ -32,7 +35,7 @@ def _zoom(evaluate, lo, hi, best_t: float, best_v: float, time_resolution: float
             best_v = float(values[k])
             best_t = float(ts[k])
         lo = ts[max(k - 1, 0)]
-        hi = ts[min(k + 1, _ZOOM_POINTS - 1)]
+        width = step * (min(k + 1, _ZOOM_POINTS - 1) - max(k - 1, 0))
     return best_t, best_v
 
 
@@ -97,7 +100,8 @@ def first_below(
     if hit_t == np.inf:
         k = int(fs.argmin())
         return FirstBelow(False, float(ts[k]), float(fs[k]), lower, len(ts))
-    bracket = (max(0.0, hit_t - step), min(t_max, hit_t + step), hit_t, float(fs[ts == hit_t][0]))
+    lo = max(0.0, hit_t - step)
+    bracket = (lo, min(t_max, hit_t + step) - lo, hit_t, float(fs[ts == hit_t][0]))
     t, v = _zoom(lambda a, dt, k: values_at(a + dt * np.arange(k)), *bracket, TIME_RESOLUTION)
     return FirstBelow(True, t, v, lower, len(ts))
 
@@ -113,6 +117,8 @@ def scan_minima(
 ) -> tuple[list[tuple[float, float]], float]:
     """Zoom into the interior local minima of an objective sampled at `ts`.
 
+    `ts` is evenly spaced, and each bracket opens with width twice its step
+    ts[1] - ts[0], so the zooms of one scan ask `evaluate` for the same steps.
     A local minimum is zoomed if its grid value is at most `refine_below`
     (callers pass a slope-bounded cutoff, so no deeper minimum hides between
     grid points) or if it is the global minimum.  Zoomed minima at or below
@@ -131,7 +137,8 @@ def scan_minima(
     for i in np.nonzero(interior)[0] + 1:
         if i != global_idx and max_records is not None and len(minima) >= max_records:
             continue
-        t, v = _zoom(evaluate, ts[i - 1], ts[i + 1], float(ts[i]), float(values[i]), time_resolution)
+        width = 2.0 * (ts[1] - ts[0])
+        t, v = _zoom(evaluate, ts[i - 1], width, float(ts[i]), float(values[i]), time_resolution)
         floor = min(floor, v)
         if v <= record_below:
             minima.append((t, v))

@@ -101,6 +101,22 @@ def test_analyze_star_center(capsys, tmp_path):
     assert abs(doc["uniform_mixing"]["witness_time"] - 2 * math.pi / (3 * math.sqrt(3))) <= 1e-6
 
 
+def test_analyze_reports_vertex_bounds_on_connected_graphs_only(capsys, tmp_path):
+    """K2 + P3 is disconnected, so its vertex states get no eccentricity
+    bounds; P3 alone gets them."""
+    path = tmp_path / "k2p3.txt"
+    path.write_text("0 1\n2 3\n3 4\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--state", "vertex:2")
+    assert code == 0
+    assert "vertex_bounds" not in json.loads(out)
+    path.write_text("2 3\n3 4\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--state", "vertex:0")
+    assert code == 0
+    assert json.loads(out)["vertex_bounds"] == {
+        "ecc_plus_one": 3, "support_size": 3, "upper": 5, "consistent": True
+    }
+
+
 def test_analyze_with_blocks_emit(capsys, k2_file):
     code, out, _ = run_cli(capsys, "analyze", k2_file, "--state", "vertex:0", "--emit", "report,blocks")
     doc = json.loads(out)

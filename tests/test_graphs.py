@@ -25,6 +25,8 @@ from qwalk import (
     skew_adjacency,
     star_graph,
 )
+from qwalk.graphs import eccentricity, max_valency
+from conftest import random_orientation
 
 nx = pytest.importorskip("networkx")
 
@@ -225,6 +227,28 @@ def test_stats_oriented_triangle(oriented_c3):
 def test_stats_disconnected_flags_eccentricity(k2_union_p3):
     stats = graph_stats(k2_union_p3)
     assert not stats.connected and stats.eccentricity is None
+
+
+def test_single_source_stats_match_graph_stats():
+    """On every atlas graph on 1-6 vertices, plain and in one seeded
+    orientation, one breadth-first search from each vertex gives the
+    connectivity and eccentricity graph_stats gives, and max_valency its
+    maximum valency."""
+    rng = np.random.default_rng(6)
+    disconnected = 0
+    for ag in nx.graph_atlas_g():
+        n = ag.number_of_nodes()
+        if not 1 <= n <= 6:
+            continue
+        g = Graph.from_edges(n, [tuple(sorted(e)) for e in ag.edges()])
+        for x in (g, random_orientation(rng, g)):
+            stats = graph_stats(x)
+            assert max_valency(x) == stats.max_valency
+            for a in range(n):
+                expected = stats.eccentricity[a] if stats.connected else None
+                assert eccentricity(x, a) == expected, (ag.edges(), a)
+            disconnected += not stats.connected
+    assert disconnected > 100
 
 
 def test_graph_rejects_loop():

@@ -22,10 +22,12 @@ from qwalk import (
     scan_flatness,
     scan_return,
     scan_transfer,
+    scan_uniform_flatness,
     skew_adjacency,
     unitary_grid,
     vertex_state,
 )
+from conftest import random_orientation
 
 
 def test_expm_zero_is_identity():
@@ -260,3 +262,104 @@ def test_oracle_imports_nothing_spectral():
             imported.add((node.module or "").split(".")[-1])
             imported.update(alias.name for alias in node.names)
     assert not imported & forbidden
+
+
+# -- zoom levels from ladders ------------------------------------------------------
+
+SWEEP = dict(window=(0.0, 20.0), step=4e-3, max_records=2, time_resolution=1e-12)
+
+
+def _reference_levels(h, objective):
+    """Zoom levels as a fresh doubling grid each, with no ladder and no
+    parent base: the reference the ladder levels must match."""
+    return lambda lo, step, count: objective(qwalk.oracle._build_grid(h, lo, step, count))
+
+
+def _zoom_scans(h):
+    """Return, transfer, mixed-state return and flatness from vertex 0, and
+    uniform flatness, at the atlas sweep's settings."""
+    n = h.shape[0]
+    e0, e1 = vertex_state(n, 0).matrix, vertex_state(n, n - 1).matrix
+    mixed = (e0 + e1) / 2
+    return (
+        lambda: scan_return(e0, h, **SWEEP),
+        lambda: scan_transfer(e0, e1, h, **SWEEP),
+        lambda: scan_return(mixed, h, **SWEEP),
+        lambda: scan_flatness(h, 0, **SWEEP),
+        lambda: scan_uniform_flatness(h, **SWEEP),
+    )
+
+
+def test_ladder_zoom_matches_fresh_grids(monkeypatch):
+    """On every atlas graph on 2-5 vertices with an edge, plain and in one
+    seeded orientation, the ladder levels record as many minima as fresh
+    grids do, with values and floors within 1e-13 and times within 1e-12
+    (1e-7 where the value is round-off, below 1e-13)."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(19)
+    scans = low = 0
+    for ag in nx.graph_atlas_g():
+        n = ag.number_of_nodes()
+        if not 2 <= n <= 5 or not ag.number_of_edges():
+            continue
+        g = Graph.from_edges(n, [tuple(sorted(e)) for e in ag.edges()])
+        for h in (g.adjacency().astype(float), -1j * skew_adjacency(random_orientation(rng, g))):
+            for scan in _zoom_scans(h):
+                fast = scan()
+                with monkeypatch.context() as m:
+                    m.setattr(qwalk.oracle, "_zoom_levels", _reference_levels)
+                    reference = scan()
+                assert len(fast.minima) == len(reference.minima), ag.edges()
+                assert abs(fast.floor - reference.floor) <= 1e-13
+                for (t, v), (t_ref, v_ref) in zip(fast.minima, reference.minima):
+                    assert abs(v - v_ref) <= 1e-13
+                    assert abs(t - t_ref) <= (1e-12 if v_ref > 1e-13 else 1e-7), (ag.edges(), t, v)
+                    low += v_ref <= 1e-13
+                scans += 1
+    assert scans == 470 and low > 0
+
+
+def _counting(monkeypatch, name):
+    """Wrap qwalk.oracle.<name> so that each call appends its arguments."""
+    calls, fn = [], getattr(qwalk.oracle, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(qwalk.oracle, name, counted)
+    return calls
+
+
+def test_a_second_scan_builds_no_ladder(monkeypatch, p3):
+    """Repeated on the same H, a scan builds no grid and no ladder: its one
+    exponential per zoom is the zoom's first base."""
+    h = p3.adjacency().astype(float)
+    p = vertex_state(3, 0).matrix
+    first = scan_return(p, h, **SWEEP)
+    builds = _counting(monkeypatch, "_build_grid")
+    expms = _counting(monkeypatch, "dense_expm")
+    steps = _counting(monkeypatch, "_ladder")
+    assert scan_return(p, h, **SWEEP) == first
+    zooms = sum(step == 2 * SWEEP["step"] / 64 for _, _, step, _ in steps)
+    assert builds == [] and zooms == len(expms) > 1
+
+
+def test_ladders_past_the_budget_are_used_not_kept(monkeypatch, p3):
+    h = p3.adjacency().astype(float)
+    scans = _zoom_scans(h)
+    kept = [scan() for scan in scans]
+    monkeypatch.setattr(qwalk.oracle, "_ladders", ())
+    monkeypatch.setattr(qwalk.oracle, "_LADDER_BYTES", 1)
+    assert [scan() for scan in scans] == kept
+    assert qwalk.oracle._ladders[1] == {}
+
+
+def test_ladders_are_dropped_when_h_changes(k2, p3):
+    scan_flatness(k2.adjacency().astype(float), 0, **SWEEP)
+    ladder = weakref.ref(next(iter(qwalk.oracle._ladders[1].values())))
+    h = p3.adjacency().astype(float)
+    scan_flatness(h, 0, **SWEEP)
+    gc.collect()
+    assert ladder() is None
+    assert qwalk.oracle._ladders[0] == (h.astype(complex).tobytes(), 3)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,20 +203,20 @@ def test_witness_cites_support_pairs_against_a_non_integer_square():
 
 def test_witness_scores_one_row(monkeypatch):
     """On a G(40, 0.1) vertex state the witness makes at most k - 1
-    limit_denominator calls over k support pairs, where scoring every
+    _limit_denominator calls over k support pairs, where scoring every
     ordered pair would make k (k - 1)."""
     calls = []
+    limit_denominator = qwalk.certificates._limit_denominator
 
-    class CountingFraction(Fraction):
-        def limit_denominator(self, max_denominator=1000000):
-            calls.append(max_denominator)
-            return super().limit_denominator(max_denominator)
+    def counting(x, max_den):
+        calls.append(max_den)
+        return limit_denominator(x, max_den)
 
     g = random_graph(np.random.default_rng(40), 40, 0.1)
     d = decompose_graph(g)
     support = block_decompose(vertex_state(40, 0), d).support
     k = len(support.off_diagonal) // 2
-    monkeypatch.setattr(qwalk.certificates, "Fraction", CountingFraction)
+    monkeypatch.setattr(qwalk.certificates, "_limit_denominator", counting)
     outcome = ratio_condition(support, d.theta)
     assert isinstance(outcome, RatioConditionFailure)
     assert k > 100 and 1 <= len(calls) <= k - 1

@@ -63,6 +63,30 @@ def test_constant_objective_zooms_one_bracket_when_capped():
     assert brackets() == 99
 
 
+def test_zooms_of_one_scan_share_their_steps():
+    """Every zoom of |sin t| opens at step 2 (ts[1] - ts[0]) / 64 and asks for
+    the same step at each depth, each the grid step times a power of two;
+    each level starts at a point of the level before."""
+    ts, values, evaluate, calls = _sampled(lambda t: np.abs(np.sin(t)), 20.0, 2001)
+    scan_minima(ts, values, evaluate, 2.0 * (ts[1] - ts[0]))
+    grid_step = ts[1] - ts[0]
+    zooms = []
+    for lo, step, _ in calls:
+        if step == 2.0 * grid_step / 64:
+            zooms.append([])
+        else:
+            parent_lo, parent_step = zooms[-1][-1]
+            j = round((lo - parent_lo) / parent_step)
+            assert lo == parent_lo + parent_step * j and 0 <= j < 64
+        zooms[-1].append((lo, step))
+    assert len(zooms) == 6
+    depths = max(map(len, zooms))
+    for depth in range(depths):
+        steps = {zoom[depth][1] for zoom in zooms if depth < len(zoom)}
+        assert len(steps) == 1
+        assert math.frexp(steps.pop() / grid_step)[0] == 0.5
+
+
 def _reference_scan_minima(ts, values, evaluate, refine_below, record_below=np.inf, max_records=None):
     """scan_minima as one loop over every interior minimum, each skipped in
     turn when it lies above refine_below: the reference the masked form
@@ -77,8 +101,9 @@ def _reference_scan_minima(ts, values, evaluate, refine_below, record_below=np.i
                 continue
             if max_records is not None and len(minima) >= max_records:
                 continue
+        width = 2.0 * (ts[1] - ts[0])
         t, v = timescan._zoom(
-            evaluate, ts[i - 1], ts[i + 1], float(ts[i]), float(values[i]), timescan.TIME_RESOLUTION
+            evaluate, ts[i - 1], width, float(ts[i]), float(values[i]), timescan.TIME_RESOLUTION
         )
         floor = min(floor, v)
         if v <= record_below:
