@@ -16,6 +16,7 @@ from qwalk import (
     path_graph,
     pgst_candidates,
     scan_transfer,
+    sign_flipped,
     transfer_sign_pattern,
     vertex_spectral_relation,
     vertex_state,
@@ -37,8 +38,9 @@ signs = transfer_sign_pattern(state, report.target, d3)
 print("  block sign pattern of the target:", dict(sorted(signs.items())))
 
 print("\nevery pretty-good transfer target is a sign flip of the blocks:")
-for pattern, candidate in pgst_candidates(state, block_decompose(state, d3), d3):
-    diag = np.round(np.diag(candidate.matrix.real), 6)
+blocks = block_decompose(state, d3)
+for pattern in pgst_candidates(blocks):
+    diag = np.round(np.diag(sign_flipped(blocks, pattern).real), 6)
     print(f"  signs {dict(sorted(pattern.eps.items()))} -> diagonal {diag}")
 
 scan = scan_transfer(state.matrix, vertex_state(3, 2).matrix, p3.adjacency().astype(float), (0.0, 10.0))

@@ -29,7 +29,7 @@ print("square-free parts: 12 ->", squarefree_part(12), " 18 ->", squarefree_part
 for name, g, a in (("K2", complete_graph(2), 0), ("P3", path_graph(3), 0), ("K_{1,3} center", star_graph(3), 0)):
     d = decompose_graph(g)
     b = block_decompose(vertex_state(g.n, a), d)
-    cert = ratio_condition(b.support, d.theta)
+    cert = ratio_condition(b.off_diagonal_pairs(), d.theta)
     sigma = minimum_period(cert)
     print(
         f"{name}: Delta = {cert.delta}, multipliers {sorted(abs(m) for (r, s), m in cert.multipliers.items() if r < s)},"
@@ -43,7 +43,8 @@ mixed = np.zeros((5, 5), dtype=complex)
 mixed[0, 0] = 0.5
 mixed[2, 2] = 0.5
 state = density_matrix(mixed)
-outcome = ratio_condition(block_decompose(state, d).support, d.theta, rational_state=state.rational)
+pairs = block_decompose(state, d).off_diagonal_pairs()
+outcome = ratio_condition(pairs, d.theta, rational_state=state.rational)
 print("\nstate across K2 + P3:", outcome.describe())
 
 # start just above 0 to skip the trivial return at t = 0
@@ -54,6 +55,6 @@ print("(no return below 1e-8 anywhere, matching the refutation)")
 # The certified period is always confirmed by the same oracle.
 d3 = decompose_graph(path_graph(3))
 b3 = block_decompose(vertex_state(3, 0), d3)
-sigma = minimum_period(ratio_condition(b3.support, d3.theta))
+sigma = minimum_period(ratio_condition(b3.off_diagonal_pairs(), d3.theta))
 scan = scan_return(vertex_state(3, 0).matrix, path_graph(3).adjacency().astype(float), (0.0, 10.0))
 print(f"\nP3 certified sigma = {sigma:.9f}; oracle's first deep return at t = {scan.minima[0][0]:.9f}")

@@ -31,6 +31,7 @@ from .detectors import (
     periodic_vertex_bounds,
     pgst_candidates,
     pgst_witness_search,
+    sign_flipped,
     transfer_sign_pattern,
     verify_transfer,
 )
@@ -78,7 +79,6 @@ from .states import (
     AlgebraReport,
     BlockDecomposition,
     DensityMatrix,
-    EigenvalueSupport,
     StateError,
     algebra_dimension,
     block_decompose,

@@ -137,11 +137,6 @@ class RatioConditionAmbiguous:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _off_diagonal_pairs(support) -> list[tuple[int, int]]:
-    pairs = support.off_diagonal if hasattr(support, "off_diagonal") else support
-    return sorted({(min(r, s), max(r, s)) for r, s in pairs if r != s})
-
-
 def _irrational_witness(pairs, diffs, ref):
     """Most irrational-looking ratio diffs[j] / diffs[ref], scored against small rationals.
 
@@ -176,13 +171,14 @@ def ratio_condition(
     gcd of the rounded squares, multipliers are round(diff / sqrt(Delta)),
     and the residual is confirmed numerically.
 
-    `support` is an EigenvalueSupport or any iterable of index pairs; only
-    off-diagonal pairs matter.  `rational_state=False` relaxes the verdict
-    for states that are not entrywise rational: non-integer squares then
-    yield an inconclusive result instead of a refutation.
+    `support` is the sorted list of off-diagonal support pairs (r, s) with
+    r < s (`BlockDecomposition.off_diagonal_pairs`).  `rational_state=False`
+    relaxes the verdict for states that are not entrywise rational:
+    non-integer squares then yield an inconclusive result instead of a
+    refutation.
     """
     theta = np.asarray(theta, dtype=float)
-    pairs = _off_diagonal_pairs(support)
+    pairs = list(support)
     if not pairs:
         raise ValueError("empty off-diagonal support: state is stationary")
     diffs = [float(theta[r] - theta[s]) for r, s in pairs]

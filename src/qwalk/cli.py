@@ -181,16 +181,18 @@ def cmd_spectra(args) -> int:
 
 
 def _report_or_inconclusive(fn, *a, **kw):
+    """(report, its JSON), or (None, an inconclusive JSON) when fn raises ValueError."""
     try:
-        return fn(*a, **kw).to_json()
+        report = fn(*a, **kw)
     except ValueError as exc:
-        return {
+        return None, {
             "verdict": "inconclusive",
             "witness_time": None,
             "residual": 0.0,
             "certificate": None,
             "warnings": [f"reason: {exc}"],
         }
+    return report, report.to_json()
 
 
 def cmd_analyze(args) -> int:
@@ -210,21 +212,18 @@ def cmd_analyze(args) -> int:
         "theta": [float(t) for t in d.theta],
         "warnings": list(d.warnings),
     }
-    doc["periodicity"] = _report_or_inconclusive(
-        detect_periodicity, state, d, cfg.accept_tol, cfg.cert_tol, cfg.max_den
-    )
-    doc["pst"] = _report_or_inconclusive(
-        detect_pst, state, d, cfg.accept_tol, cfg.cert_tol, cfg.max_den
-    )
+    # one block decomposition serves every detector below
     blocks = block_decompose(state, d)
+    tols = (cfg.accept_tol, cfg.cert_tol, cfg.max_den)
+    periodicity, doc["periodicity"] = _report_or_inconclusive(detect_periodicity, state, d, *tols, blocks=blocks)
+    _, doc["pst"] = _report_or_inconclusive(
+        detect_pst, state, d, *tols, blocks=blocks, periodicity=periodicity
+    )
     try:
-        candidates = pgst_candidates(state, blocks, d)
+        candidates = pgst_candidates(blocks)
         doc["pgst_candidates"] = {
             "count": len(candidates),
-            "patterns": [
-                {"signs": [[r, s, e] for (r, s), e in sorted(pat.eps.items())]}
-                for pat, _ in candidates
-            ],
+            "patterns": [{"signs": [[r, s, e] for (r, s), e in sorted(pat.eps.items())]} for pat in candidates],
         }
     except (EnumerationCapExceeded, ValueError) as exc:
         doc["pgst_candidates"] = {"count": None, "inconclusive": str(exc)}
@@ -257,16 +256,16 @@ def cmd_analyze(args) -> int:
     algebra = algebra_dimension(blocks)
     doc["algebra"] = {"dim": algebra.dim, "controllable": algebra.controllable}
     if algebra.controllable and doc["pst"]["verdict"] == "yes":
-        check = controllability_phase_check(state, d, doc["pst"]["witness_time"], cfg.accept_tol)
+        check = controllability_phase_check(d, doc["pst"]["witness_time"], cfg.accept_tol)
         doc["phase_check"] = {
             "scalar": check.scalar,
             "zeta": [check.zeta.real, check.zeta.imag],
             "root_of_unity": check.root_of_unity,
         }
     if "blocks" in cfg.emit:
-        pairs, norms = sorted(blocks.support.pairs), d.group_norms(blocks.p_hat)
+        pairs, norms = np.argwhere(blocks.support).tolist(), d.group_norms(blocks.p_hat)
         doc["blocks"] = {
-            "support": [[r, s] for r, s in pairs],
+            "support": pairs,
             "norms": {f"{r},{s}": float(norms[r, s]) for r, s in pairs},
         }
     if "scan" in cfg.emit:
@@ -278,9 +277,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _vertex_block_products(d, support, a: int) -> tuple[float, float]:
-    """Largest ||B_rs B_kl||_F over support pairs (r, s), (k, l) of the vertex
-    state e_a, first with s != k, then with s == k, r != s and l != k.
+def _vertex_block_products(d, keep: np.ndarray, a: int) -> tuple[float, float]:
+    """Largest ||B_rs B_kl||_F over pairs (r, s), (k, l) of the support mask
+    `keep` of the vertex state e_a, first with s != k, then with s == k,
+    r != s and l != k.
 
     The blocks are B_rs = u_r u_s* with u_r = V_r x_r = E_r e_a and
     x = V* e_a, so ||B_rs B_kl||_F = ||u_r|| |<u_s, u_k>| ||u_l||: the m x m
@@ -289,8 +289,6 @@ def _vertex_block_products(d, support, a: int) -> tuple[float, float]:
     u = d.columns([a])[:, :, 0].T
     gram = np.abs(u.conj().T @ u)
     norms = np.sqrt(gram.diagonal())
-    keep = np.zeros((d.m, d.m), dtype=bool)
-    keep[tuple(zip(*support.pairs))] = True
 
     def outer(mask):
         # by s, the largest ||u_r|| over (r, s) in the mask; by k, over (k, l)
@@ -361,25 +359,16 @@ def _verify_graph_invariants(x, d, cfg: RunConfig, rng) -> list[dict]:
         b = block_decompose(state, d)
         t = float(rng.uniform(0.0, 10.0))
         evolved = evolve(b, t)
-        add(f"state.trace_preserved[v{a}]", abs(np.trace(evolved.matrix) - 1.0), 1e-10)
-        add(
-            f"state.hermitian_preserved[v{a}]",
-            np.linalg.norm(evolved.matrix - evolved.matrix.conj().T),
-            n * cfg.tol,
-        )
-        add(
-            f"state.psd_preserved[v{a}]",
-            max(0.0, -float(np.linalg.eigvalsh(evolved.matrix).min())),
-            1e-9,
-        )
+        add(f"state.trace_preserved[v{a}]", abs(np.trace(evolved) - 1.0), 1e-10)
+        add(f"state.hermitian_preserved[v{a}]", np.linalg.norm(evolved - evolved.conj().T), n * cfg.tol)
+        add(f"state.psd_preserved[v{a}]", max(0.0, -float(np.linalg.eigvalsh(evolved).min())), 1e-9)
         u = transition_matrix(d, t)
         direct = u @ state.matrix @ u.conj().T
-        add(f"state.block_path_agreement[v{a}]", np.linalg.norm(evolved.matrix - direct), n * 1e-10)
-        diag = b.support.diagonal
-        missing = [
-            (r, s) for r, s in b.support.off_diagonal if r not in diag or s not in diag
-        ]
-        add(f"blocks.support_diagonal_presence[v{a}]", float(len(missing)), 0.5)
+        add(f"state.block_path_agreement[v{a}]", np.linalg.norm(evolved - direct), n * 1e-10)
+        # off-diagonal support pairs (r, s) whose (r, r) or (s, s) is missing
+        diag = b.support.diagonal()
+        missing = b.support & ~np.eye(d.m, dtype=bool) & ~(diag[:, None] & diag[None, :])
+        add(f"blocks.support_diagonal_presence[v{a}]", float(missing.sum()), 0.5)
         vanishing, same_index = _vertex_block_products(d, b.support, a)
         add(f"blocks.product_vanishing[v{a}]", vanishing, n * 1e-9)
         add("blocks.same_index_products_observed", same_index, np.inf, info=True)
@@ -436,9 +425,8 @@ def cmd_evolve(args) -> int:
     x = _load_graph(args.input, cfg)
     d = _decompose(x, cfg)
     state, _ = _load_state(args.state, d.n, cfg)
-    b = block_decompose(state, d)
-    evolved = evolve(b, args.time)
-    _emit(evolved.to_json())
+    evolved = evolve(block_decompose(state, d), args.time)
+    _emit({"re": evolved.real.tolist(), "im": evolved.imag.tolist()})
     return EXIT_OK
 
 

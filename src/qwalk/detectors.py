@@ -24,14 +24,7 @@ from .certificates import (
 )
 from .graphs import Graph, OrientedGraph, eccentricity, max_valency
 from .spectral import SpectralDecomposition, eigenvalue_support_indices, transition_matrix
-from .states import (
-    BlockDecomposition,
-    DensityMatrix,
-    EigenvalueSupport,
-    block_decompose,
-    density_matrix,
-    evolve,
-)
+from .states import BlockDecomposition, DensityMatrix, block_decompose, density_matrix, evolve
 from .timescan import first_below
 
 DEFAULT_ACCEPT_TOL = 1e-8
@@ -87,9 +80,6 @@ class SignPattern:
 
     eps: dict[tuple[int, int], int]
 
-    def sign(self, r: int, s: int) -> int:
-        return self.eps[(min(r, s), max(r, s))]
-
 
 def _grouping_ambiguous(d: SpectralDecomposition) -> tuple[str, ...]:
     return tuple(w for w in d.warnings if "ambiguous" in w)
@@ -118,21 +108,22 @@ def detect_periodicity(
             "inconclusive", reason="ambiguous spectral grouping", warnings=ambiguous
         )
     b = blocks if blocks is not None else block_decompose(p, d)
-    if not b.support.off_diagonal:
-        residual = float(np.linalg.norm(evolve(b, 1.0).matrix - p.matrix))
+    pairs = b.off_diagonal_pairs()
+    if not pairs:
+        residual = float(np.linalg.norm(evolve(b, 1.0) - p.matrix))
         return DetectionReport(
             "yes",
             witness_time=0.0,
             residual=residual,
             warnings=("stationary: the state commutes with the walk, so every t is a period",),
         )
-    outcome = ratio_condition(b.support, d.theta, max_den, cert_tol, rational_state=p.rational)
+    outcome = ratio_condition(pairs, d.theta, max_den, cert_tol, rational_state=p.rational)
     if isinstance(outcome, RatioConditionFailure):
         return DetectionReport("no", reason=outcome.describe())
     if isinstance(outcome, RatioConditionAmbiguous):
         return DetectionReport("inconclusive", reason=outcome.reason)
     sigma = minimum_period(outcome)
-    residual = float(np.linalg.norm(evolve(b, sigma).matrix - p.matrix))
+    residual = float(np.linalg.norm(evolve(b, sigma) - p.matrix))
     if residual > accept_tol:
         return DetectionReport(
             "inconclusive",
@@ -150,17 +141,23 @@ def detect_pst(
     accept_tol: float = DEFAULT_ACCEPT_TOL,
     cert_tol: float = DEFAULT_CERT_TOL,
     max_den: int = DEFAULT_MAX_DEN,
+    blocks: BlockDecomposition | None = None,
+    periodicity: DetectionReport | None = None,
 ) -> DetectionReport:
     """Does the real state transfer perfectly to a distinct real state?
 
     A periodic state with minimum period sigma can only transfer at sigma/2,
     and the real target there is unique, so evolving to sigma/2 and testing
-    realness and distinctness decides the question completely.
+    realness and distinctness decides the question completely.  `blocks` and
+    `periodicity`, when given, are this state's block decomposition and
+    `detect_periodicity` report, and are not worked out again.
     """
     if not p.real:
         raise ValueError("transfer detection requires a real state")
-    b = block_decompose(p, d)
-    per = detect_periodicity(p, d, accept_tol, cert_tol, max_den, blocks=b)
+    b = blocks if blocks is not None else block_decompose(p, d)
+    per = periodicity
+    if per is None:
+        per = detect_periodicity(p, d, accept_tol, cert_tol, max_den, blocks=b)
     if per.verdict == "no":
         return DetectionReport("no", reason=f"not periodic ({per.reason})")
     if per.verdict == "inconclusive":
@@ -169,7 +166,7 @@ def detect_pst(
         return DetectionReport("no", reason="stationary state never leaves its initial density")
     sigma = per.witness_time
     tau = sigma / 2.0
-    half = evolve(b, tau).matrix
+    half = evolve(b, tau)
     imag_size = float(np.abs(half.imag).max())
     if imag_size > accept_tol:
         return DetectionReport(
@@ -255,26 +252,27 @@ def _pruned_sign_patterns(b: BlockDecomposition, pairs, floor: float) -> np.ndar
 
 
 def pgst_candidates(
-    p: DensityMatrix,
     b: BlockDecomposition,
-    d: SpectralDecomposition,
     psd_tol: float = 1e-9,
     pair_cap: int = PGST_PAIR_CAP,
-) -> list[tuple[SignPattern, DensityMatrix]]:
-    """All real density matrices reachable by pretty-good transfer from p.
+) -> list[SignPattern]:
+    """The sign patterns of all real states reachable by pretty-good transfer
+    from the state b decomposes.
 
-    Any target agrees with p on diagonal blocks and flips signs of some
-    off-diagonal blocks, so candidates are the PSD members of the sign-flip
-    family.  The all-plus pattern (p itself) is always first.  Only the
-    patterns that survive the interlacing pruning (`_pruned_sign_patterns`,
-    with a 1e-12 margin for round-off) reach the exact n x n PSD test.
+    Any target agrees with the state on diagonal blocks and flips signs of
+    some off-diagonal blocks, so candidates are the PSD members of the
+    sign-flip family; `sign_flipped` builds the matrix of one.  The all-plus
+    pattern (the state itself) is always first.  Only the patterns that
+    survive the interlacing pruning (`_pruned_sign_patterns`, with a 1e-12
+    margin for round-off) reach the exact n x n PSD test.
     """
     pairs = b.off_diagonal_pairs()
     if len(pairs) > pair_cap:
         raise EnumerationCapExceeded(len(pairs))
+    d = b.decomposition
     survivors = _pruned_sign_patterns(b, pairs, psd_tol + 1e-12)
     v, placed = d.vectors, [(k, r, s) for k, (r, s) in enumerate(pairs)]
-    out: list[tuple[SignPattern, DensityMatrix]] = []
+    out: list[SignPattern] = []
     chunk = max(1, _CHUNK_BYTES // (16 * b.n * b.n))
     for start in range(0, len(survivors), chunk):
         indices = survivors[start : start + chunk]
@@ -282,12 +280,21 @@ def pgst_candidates(
         batch = v @ (_sign_matrices(indices, placed, d.mult) * b.p_hat) @ v.conj().T
         batch = (batch + batch.conj().transpose(0, 2, 1)) / 2
         min_eigs = np.linalg.eigvalsh(batch)[:, 0]
-        for local, i in enumerate(indices.tolist()):
-            if min_eigs[local] < -psd_tol:
-                continue
-            pattern = SignPattern({pair: 1 - 2 * ((i >> k) & 1) for k, pair in enumerate(pairs)})
-            out.append((pattern, density_matrix(batch[local], tol=max(p.tol, 1e-8))))
+        for i in indices[min_eigs >= -psd_tol].tolist():
+            out.append(SignPattern({pair: 1 - 2 * ((i >> k) & 1) for k, pair in enumerate(pairs)}))
     return out
+
+
+def sign_flipped(b: BlockDecomposition, pattern: SignPattern) -> np.ndarray:
+    """V (S o P^) V*: the state b decomposes with its off-diagonal blocks
+    (r, s) and (s, r) multiplied by pattern.eps[(r, s)]."""
+    d = b.decomposition
+    signs = np.ones((d.m, d.m))
+    for (r, s), e in pattern.eps.items():
+        signs[r, s] = signs[s, r] = e
+    signs = np.repeat(np.repeat(signs, d.mult, axis=0), d.mult, axis=1)
+    out = d.vectors @ (signs * b.p_hat) @ d.vectors.conj().T
+    return (out + out.conj().T) / 2
 
 
 @dataclass(frozen=True)
@@ -374,10 +381,10 @@ def pgst_witness_search(
     return BestTransfer(scan.t, scan.value)
 
 
-def _vertex_support(d: SpectralDecomposition, a: int, tol: float = 1e-8) -> EigenvalueSupport:
+def _vertex_support(d: SpectralDecomposition, a: int, tol: float = 1e-8) -> list[tuple[int, int]]:
+    """The sorted pairs (r, s), r < s, of the eigenvalue support of vertex a."""
     idx = eigenvalue_support_indices(d, a, tol)
-    pairs = frozenset((r, s) for r in idx for s in idx)
-    return EigenvalueSupport(pairs)
+    return [(r, s) for r in idx for s in idx if r < s]
 
 
 def _is_oriented(d: SpectralDecomposition) -> bool:
@@ -534,7 +541,7 @@ def detect_local_uniform_mixing(
         oriented = _is_oriented(d)
     warnings = []
     support = _vertex_support(d, a)
-    if support.off_diagonal:
+    if support:
         outcome = ratio_condition(support, d.theta, max_den, cert_tol, rational_state=True)
         if isinstance(outcome, RatioCertificate):
             warnings.append("necessary-condition check: vertex support satisfies the ratio condition")
@@ -617,7 +624,6 @@ class PhaseCheck:
 
 
 def controllability_phase_check(
-    p: DensityMatrix,
     d: SpectralDecomposition,
     t: float,
     tol: float = DEFAULT_ACCEPT_TOL,
@@ -646,12 +652,12 @@ def transfer_sign_pattern(
     Diagonal pairs must carry +1; used to validate detected transfer targets.
     """
     bp, bq = block_decompose(p, d), block_decompose(q, d)
-    if bp.support.pairs != bq.support.pairs:
+    if not np.array_equal(bp.support, bq.support):
         return None
     # ||E_r (Q -+ P) E_s|| is the norm of the (r, s) sub-block of Q^ -+ P^
     same, flipped = d.group_norms(bq.p_hat - bp.p_hat), d.group_norms(bq.p_hat + bp.p_hat)
     signs = {}
-    for r, s in sorted(bp.support.pairs):
+    for r, s in np.argwhere(bp.support).tolist():
         if same[r, s] <= tol:
             signs[(r, s)] = 1
         elif r != s and flipped[r, s] <= tol:

@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _pade_expm
 
 from .timescan import TIME_RESOLUTION, scan_minima
 
@@ -64,7 +63,9 @@ def dense_expm(m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     if np.linalg.norm(m) > MAX_EXPM_NORM:
         raise ValueError(f"matrix norm exceeds {MAX_EXPM_NORM:g}; refusing to exponentiate")
-    return _pade_expm(m)
+    from scipy.linalg import expm  # loaded on first use: no other path needs scipy
+
+    return expm(m)
 
 
 def _unitary_at(h: np.ndarray, t: float) -> np.ndarray:

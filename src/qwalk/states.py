@@ -1,10 +1,13 @@
 """Density matrices, their spectral block structure, and time evolution.
 
 A density matrix is decomposed against a SpectralDecomposition into blocks
-E_r P E_s; the set of index pairs with a nonzero block is the eigenvalue
+E_r P E_s; the (m, m) mask of the pairs with a nonzero block is the eigenvalue
 support, and evolution multiplies each block by a phase.  The blocks are held
 in the eigenbasis: with E_r = V_r V_r*, block (r, s) is V_r P^_rs V_s* for
 the (r, s) sub-block of P^ = V* P V, so one n x n matrix carries all of them.
+
+`density_matrix` validates and classifies outside input.  Unitary evolution
+preserves what it checked, so `evolve` returns a plain array.
 """
 
 from __future__ import annotations
@@ -49,9 +52,6 @@ class DensityMatrix:
     def to_json(self) -> dict:
         return {"re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()}
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def _is_rational_entrywise(m: np.ndarray, tol: float, max_den: int) -> bool:
     # a Hermitian matrix repeats most of its entries: test each value once
@@ -67,12 +67,14 @@ def density_matrix(
 ) -> DensityMatrix:
     """Validate and classify a density matrix.
 
-    Raises StateError when the matrix is not Hermitian, trace-1, and PSD
-    within tol.  Classification: real (negligible imaginary part), pure
-    (rank one: ||M^2 - M|| <= n*tol), rational (every entry essentially equal
-    to a fraction with denominator <= rational_max_den).
+    Raises StateError when the matrix has a non-finite entry or is not
+    Hermitian, trace-1, and PSD within tol.  Classification: real (negligible
+    imaginary part), pure (rank one: ||M^2 - M|| <= n*tol), rational (every
+    entry essentially equal to a fraction with denominator <= rational_max_den).
     """
     m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise StateError("non-finite entries")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateError("density matrix must be square")
     n = m.shape[0]
@@ -103,7 +105,9 @@ def density_from_json(doc: dict | str, tol: float = DEFAULT_STATE_TOL) -> Densit
     im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape:
         raise StateError("re and im parts have different shapes")
-    return density_matrix(re + 1j * im, tol=tol)
+    m = np.empty(re.shape, dtype=complex)
+    m.real, m.imag = re, im  # no arithmetic, so a non-finite entry raises no warning
+    return density_matrix(m, tol=tol)
 
 
 def vertex_state(n: int, a: int) -> DensityMatrix:
@@ -130,31 +134,18 @@ def maximally_mixed(n: int) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class EigenvalueSupport:
-    """Index pairs (r, s) with E_r P E_s != 0; symmetric under swap."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    @property
-    def off_diagonal(self) -> frozenset[tuple[int, int]]:
-        return frozenset((r, s) for r, s in self.pairs if r != s)
-
-    @property
-    def diagonal(self) -> frozenset[int]:
-        return frozenset(r for r, s in self.pairs if r == s)
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
     """The nonzero blocks E_r P E_s of a state against a decomposition.
 
-    `p_hat` is V* P V with every sub-block outside the support zeroed; the
-    n x n blocks themselves are built only when `blocks` is first read.
+    `support` is the read-only (m, m) boolean mask of the pairs (r, s) with
+    E_r P E_s != 0; it is symmetric, and every group in a kept pair keeps its
+    diagonal.  `p_hat` is V* P V with every sub-block outside the support
+    zeroed; the n x n blocks themselves are built only when `blocks` is read.
     """
 
     p_hat: np.ndarray
     decomposition: SpectralDecomposition
-    support: EigenvalueSupport
+    support: np.ndarray
     block_tol: float
     state: DensityMatrix
 
@@ -167,7 +158,7 @@ class BlockDecomposition:
         """{(r, s): V_r P^_rs V_s*} over the support, in row-major order."""
         v, bounds = self.decomposition.vectors, self.decomposition.bounds
         out = {}
-        for r, s in sorted(self.support.pairs):
+        for r, s in np.argwhere(self.support).tolist():
             rows, cols = slice(bounds[r], bounds[r + 1]), slice(bounds[s], bounds[s + 1])
             out[(r, s)] = v[:, rows] @ self.p_hat[rows, cols] @ v[:, cols].conj().T
         return out
@@ -176,8 +167,9 @@ class BlockDecomposition:
         v = self.decomposition.vectors
         return v @ self.p_hat @ v.conj().T
 
-    def off_diagonal_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((r, s) for r, s in self.support.pairs if r < s))
+    def off_diagonal_pairs(self) -> list[tuple[int, int]]:
+        """The support pairs (r, s) with r < s, in row-major order."""
+        return [(r, s) for r, s in np.argwhere(np.triu(self.support, 1)).tolist()]
 
 
 def block_decompose(
@@ -199,27 +191,28 @@ def block_decompose(
     v = d.vectors
     p_hat = v.conj().T @ m @ v
     keep = d.group_norms(p_hat) > block_tol
+    keep |= keep.T  # P^ is Hermitian up to round-off
     # ||P^_rs|| is about the geometric mean of ||P^_rr|| and ||P^_ss||, so a
     # kept off-diagonal block can outlive a diagonal one; keep (r, r) for
     # every group that a kept pair touches.
-    touched = np.flatnonzero(keep.any(axis=0) | keep.any(axis=1))
+    touched = np.flatnonzero(keep.any(axis=0))
     keep[touched, touched] = True
-    pairs = frozenset((int(r), int(s)) for r, s in zip(*np.nonzero(keep)))
     p_hat[~np.repeat(np.repeat(keep, d.mult, axis=0), d.mult, axis=1)] = 0.0
     p_hat.setflags(write=False)
-    support = EigenvalueSupport(pairs)
-    return BlockDecomposition(p_hat, d, support, float(block_tol), p)
+    keep.setflags(write=False)
+    return BlockDecomposition(p_hat, d, keep, float(block_tol), p)
 
 
-def evolve(b: BlockDecomposition, t: float) -> DensityMatrix:
+def evolve(b: BlockDecomposition, t: float) -> np.ndarray:
     """P(t) = sum over blocks of exp(i t (theta_r - theta_s)) E_r P E_s.
 
     As W P^ W* with W = V diag(exp(i t theta)), so it costs two n x n products.
+    The result is exactly Hermitian; it is not re-validated, since unitary
+    evolution keeps the trace, the spectrum and so positivity of b.state.
     """
     w = b.decomposition.phased(t)
     out = w @ b.p_hat @ w.conj().T
-    out = (out + out.conj().T) / 2
-    return density_matrix(out, tol=max(b.state.tol, 1e-8))
+    return (out + out.conj().T) / 2
 
 
 def is_flat(v: np.ndarray, tol: float = 1e-9) -> bool:
@@ -252,9 +245,7 @@ def algebra_dimension(b: BlockDecomposition) -> AlgebraReport:
     group in c is simple, A_c = M(span{x_r}) + sum_r C(E_r - x^_r x^_r*),
     of dim |c|^2 + #{r in c : d_r > 1}.  Otherwise a closure counts it.
     """
-    d, mult = b.decomposition, np.asarray(b.decomposition.mult)
-    keep = np.zeros((d.m, d.m), dtype=bool)
-    keep[tuple(zip(*b.support.pairs))] = True
+    d, mult, keep = b.decomposition, np.asarray(b.decomposition.mult), b.support
     # each group takes the least label among its neighbours until none changes
     labels, old = np.arange(d.m), None
     while not np.array_equal(labels, old):

@@ -36,6 +36,7 @@ from qwalk import (
     scan_return,
     scan_transfer,
     scan_uniform_flatness,
+    sign_flipped,
     skew_adjacency,
     star_graph,
     transfer_sign_pattern,
@@ -291,10 +292,11 @@ def test_criterion_07_pgst_structure(atlas_sweep):
     g = path_graph(2)
     d = decompose_graph(g)
     p0 = vertex_state(2, 0)
-    candidates = pgst_candidates(p0, block_decompose(p0, d), d)
+    b = block_decompose(p0, d)
+    candidates = [sign_flipped(b, pattern) for pattern in pgst_candidates(b)]
     assert len(candidates) == 2
-    dists_p0 = sorted(np.linalg.norm(c.matrix - p0.matrix) for _, c in candidates)
-    dists_p1 = sorted(np.linalg.norm(c.matrix - vertex_state(2, 1).matrix) for _, c in candidates)
+    dists_p0 = sorted(np.linalg.norm(c - p0.matrix) for c in candidates)
+    dists_p1 = sorted(np.linalg.norm(c - vertex_state(2, 1).matrix) for c in candidates)
     assert dists_p0[0] <= 1e-10 and dists_p1[0] <= 1e-10
 
     checked = 0

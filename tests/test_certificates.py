@@ -123,7 +123,7 @@ def test_squarefree_part_property(a, b):
 
 def _vertex_support(g, a, decomp):
     d = decomp(g)
-    return block_decompose(vertex_state(g.n, a), d).support, d.theta
+    return block_decompose(vertex_state(g.n, a), d).off_diagonal_pairs(), d.theta
 
 
 def test_ratio_condition_k2(k2, decomp):
@@ -161,7 +161,7 @@ def test_ratio_condition_union_failure(k2_union_p3, decomp):
     state = density_matrix(mixed)
     assert state.rational
     b = block_decompose(state, d)
-    outcome = ratio_condition(b.support, d.theta, rational_state=state.rational)
+    outcome = ratio_condition(b.off_diagonal_pairs(), d.theta, rational_state=state.rational)
     assert isinstance(outcome, RatioConditionFailure)
     assert outcome.pair_a is not None and outcome.ratio is not None
     # the witness ratio mixes an integer gap with a sqrt(2) gap
@@ -188,7 +188,7 @@ def test_ratio_condition_ambiguous_for_nonrational_state(p5, decomp):
     state = pure_state(v / np.linalg.norm(v))
     assert not state.rational
     b = block_decompose(state, d)
-    outcome = ratio_condition(b.support, d.theta, rational_state=state.rational)
+    outcome = ratio_condition(b.off_diagonal_pairs(), d.theta, rational_state=state.rational)
     assert isinstance(outcome, RatioConditionAmbiguous)
     # the honest inconclusive is right: the state does return, at 2*pi/(sqrt(3)-1)
     expected = 2 * math.pi / (SQRT3 - 1.0)
@@ -202,7 +202,7 @@ def test_ratio_condition_empty_support_raises(k2, decomp):
 
     b = block_decompose(maximally_mixed(2), d)
     with pytest.raises(ValueError, match="stationary"):
-        ratio_condition(b.support, d.theta)
+        ratio_condition(b.off_diagonal_pairs(), d.theta)
 
 
 # -- minimum period and the transfer-time bound -----------------------------------
@@ -249,7 +249,7 @@ def test_certificate_soundness(k2, p3, c4, k13, decomp):
     for g, a in ((k2, 0), (p3, 0), (c4, 0), (k13, 0)):
         d = decomp(g)
         b = block_decompose(vertex_state(g.n, a), d)
-        cert = ratio_condition(b.support, d.theta)
+        cert = ratio_condition(b.off_diagonal_pairs(), d.theta)
         root = math.sqrt(cert.delta)
         for (r, s), m in cert.multipliers.items():
             assert abs((d.theta[r] - d.theta[s]) - m * root) <= 1e-7

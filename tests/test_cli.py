@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -405,3 +407,97 @@ def test_verify_keeps_the_diagonal_block_of_a_weak_group(capsys, tmp_path):
     )
     assert presence["residual"] == 0.0
     assert doc["passed"] is True and code == 0
+
+
+def _count_calls(monkeypatch, names) -> dict[str, int]:
+    """Count calls of each named library function under every module that binds it."""
+    modules = [qwalk.states, qwalk.certificates, qwalk.detectors, qwalk.cli]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "edges, pst",
+    [("0 1\n", "yes"), ("0 1\n1 2\n", "yes"), ("0 1\n1 2\n2 3\n", "no"), ("0 1\n0 2\n0 3\n", "yes")],
+    ids=["K2", "P3", "P4", "K13"],
+)
+def test_analyze_works_each_fact_out_once(capsys, monkeypatch, tmp_path, edges, pst):
+    """One block decomposition serves every detector, the ratio condition
+    runs once on it and once on the vertex support, and the only matrix
+    validated after the state is loaded is the reported transfer target."""
+    path = tmp_path / "g.txt"
+    path.write_text(edges)
+    calls = _count_calls(monkeypatch, ["block_decompose", "ratio_condition", "density_matrix", "rational_approx"])
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--state", "vertex:0")
+    assert code == 0 and json.loads(out)["pst"]["verdict"] == pst
+    assert calls["block_decompose"] == 1
+    assert 1 <= calls["ratio_condition"] <= 2
+    assert calls["density_matrix"] == (pst == "yes")
+    if pst == "no":
+        assert calls["rational_approx"] == 0
+
+
+def test_evolve_classifies_nothing(capsys, monkeypatch, p3_file):
+    calls = _count_calls(monkeypatch, ["density_matrix", "rational_approx"])
+    code, out, _ = run_cli(capsys, "evolve", p3_file, "--state", "vertex:0", "-t", "0.7")
+    assert code == 0 and len(json.loads(out)["re"]) == 3
+    assert calls == {"density_matrix": 0, "rational_approx": 0}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_non_finite_state_entries_are_a_one_line_input_error(capsys, k2_file, part, value):
+    doc = {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    doc[part][0][1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code, out, err = run_cli(capsys, "analyze", k2_file, "--state", json.dumps(doc))
+    assert code == 2 and out == ""
+    assert err == "input error: invalid density matrix: non-finite entries\n"
+
+
+def test_verify_counts_off_diagonal_pairs_without_their_diagonal(capsys, monkeypatch, k2_file):
+    """A support mask with (0, 1) and (1, 0) but not (0, 0) fails the check with a count of 2."""
+    block_decompose = qwalk.cli.block_decompose
+
+    def without_first_diagonal(state, d):
+        b = block_decompose(state, d)
+        support = b.support.copy()
+        support[0, 0] = False
+        return dataclasses.replace(b, support=support)
+
+    monkeypatch.setattr(qwalk.cli, "block_decompose", without_first_diagonal)
+    code, out, _ = run_cli(capsys, "verify", k2_file)
+    presence = next(c for c in json.loads(out)["checks"] if c["invariant"] == "blocks.support_diagonal_presence[v0]")
+    assert presence["residual"] == 2.0 and not presence["passed"]
+    assert code == 1
+
+
+def test_scipy_loads_only_for_the_oracle(k2_file):
+    """`import qwalk` and `qwalk spectra` leave scipy unloaded; the oracle's
+    dense exponential (`qwalk scan`) loads it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalk.cli.__file__)))
+    script = (
+        "import contextlib, io, sys\n"
+        "import qwalk, qwalk.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert qwalk.cli.main(['spectra', {k2_file!r}]) == 0\n"
+        "    assert 'scipy' not in sys.modules\n"
+        f"    assert qwalk.cli.main(['scan', {k2_file!r}, '--kind', 'flatness', '--vertex', '0', '--t-max', '1']) == 0\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-500:]

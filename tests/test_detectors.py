@@ -32,6 +32,7 @@ from qwalk import (
     scan_flatness,
     scan_transfer,
     scan_uniform_flatness,
+    sign_flipped,
     spectral_decompose,
     star_graph,
     transfer_sign_pattern,
@@ -175,7 +176,8 @@ def test_pst_uniqueness_against_other_candidates(p3, decomp):
     report = detect_pst(p, d)
     b = block_decompose(p, d)
     sigma = 2 * report.witness_time
-    for pattern, candidate in pgst_candidates(p, b, d):
+    for pattern in pgst_candidates(b):
+        candidate = density_matrix(sign_flipped(b, pattern), tol=1e-8)
         if np.linalg.norm(candidate.matrix - p.matrix) <= 1e-8:
             continue
         if np.linalg.norm(candidate.matrix - report.target.matrix) <= 1e-8:
@@ -216,8 +218,8 @@ def test_real_return_invariant(k2, p3, k13, decomp):
         assert report.verdict == "yes"
         t = report.witness_time
         b = block_decompose(p, d)
-        assert np.abs(evolve(b, t).matrix.imag).max() <= 1e-10
-        assert np.linalg.norm(evolve(b, 2 * t).matrix - p.matrix) <= 1e-8
+        assert np.abs(evolve(b, t).imag).max() <= 1e-10
+        assert np.linalg.norm(evolve(b, 2 * t) - p.matrix) <= 1e-8
         u2 = transition_matrix(d, 2 * t)
         assert np.linalg.norm(u2 @ p.matrix - p.matrix @ u2) <= 1e-8
 
@@ -227,10 +229,10 @@ def test_real_return_invariant(k2, p3, k13, decomp):
 
 def test_pgst_candidates_k2_exactly_both_vertices(k2, decomp):
     d = decomp(k2)
-    p = vertex_state(2, 0)
-    candidates = pgst_candidates(p, block_decompose(p, d), d)
+    b = block_decompose(vertex_state(2, 0), d)
+    candidates = pgst_candidates(b)
     assert len(candidates) == 2
-    matrices = [c.matrix for _, c in candidates]
+    matrices = [sign_flipped(b, c) for c in candidates]
     assert np.linalg.norm(matrices[0] - vertex_state(2, 0).matrix) <= 1e-10
     targets = sorted(np.linalg.norm(m - vertex_state(2, 1).matrix) for m in matrices)
     assert targets[0] <= 1e-10  # one candidate is the other vertex
@@ -239,16 +241,16 @@ def test_pgst_candidates_k2_exactly_both_vertices(k2, decomp):
 def test_pgst_candidates_stationary_single(k2, decomp):
     d = decomp(k2)
     p = maximally_mixed(2)
-    candidates = pgst_candidates(p, block_decompose(p, d), d)
+    b = block_decompose(p, d)
+    candidates = pgst_candidates(b)
     assert len(candidates) == 1
-    assert np.linalg.norm(candidates[0][1].matrix - p.matrix) <= 1e-10
+    assert np.linalg.norm(sign_flipped(b, candidates[0]) - p.matrix) <= 1e-10
 
 
 def test_pgst_candidates_p3_contains_both_ends(p3, decomp):
     d = decomp(p3)
-    p = vertex_state(3, 0)
-    candidates = pgst_candidates(p, block_decompose(p, d), d)
-    mats = [c.matrix for _, c in candidates]
+    b = block_decompose(vertex_state(3, 0), d)
+    mats = [sign_flipped(b, c) for c in pgst_candidates(b)]
     assert any(np.linalg.norm(m - vertex_state(3, 0).matrix) <= 1e-9 for m in mats)
     assert any(np.linalg.norm(m - vertex_state(3, 2).matrix) <= 1e-9 for m in mats)
     for m in mats:
@@ -264,8 +266,8 @@ def test_pgst_candidates_keep_a_weak_diagonal_block(p3, decomp):
     z = np.array([1 + eps, 0.0, 1 - eps])
     p = pure_state(z / np.linalg.norm(z))
     b = block_decompose(p, d)
-    assert b.support.diagonal == {0, 1, 2}
-    assert len(pgst_candidates(p, b, d)) == 4
+    assert b.support.diagonal().tolist() == [True, True, True]
+    assert len(pgst_candidates(b)) == 4
 
 
 def test_pgst_candidates_cap(decomp):
@@ -273,7 +275,7 @@ def test_pgst_candidates_cap(decomp):
     d = decomp(p7)
     p = vertex_state(7, 0)
     with pytest.raises(EnumerationCapExceeded) as err:
-        pgst_candidates(p, block_decompose(p, d), d)
+        pgst_candidates(block_decompose(p, d))
     assert err.value.count == 2**21
 
 
@@ -495,25 +497,25 @@ def test_bounds_require_connected(k2_union_p3, decomp):
 
 
 def test_phase_check_k2_half_period(k2, decomp):
-    check = controllability_phase_check(vertex_state(2, 0), decomp(k2), math.pi / 2)
+    check = controllability_phase_check(decomp(k2), math.pi / 2)
     assert check.scalar
     assert abs(check.zeta + 1.0) <= 1e-9  # U(pi) = -I
     assert check.root_of_unity
 
 
 def test_phase_check_k2_full_period(k2, decomp):
-    check = controllability_phase_check(vertex_state(2, 0), decomp(k2), math.pi)
+    check = controllability_phase_check(decomp(k2), math.pi)
     assert check.scalar
     assert abs(check.zeta - 1.0) <= 1e-9  # U(2*pi) = I
 
 
 def test_phase_check_p3_transfer_time(p3, decomp):
-    check = controllability_phase_check(vertex_state(3, 0), decomp(p3), math.pi / SQRT2)
+    check = controllability_phase_check(decomp(p3), math.pi / SQRT2)
     assert check.scalar
     assert abs(check.zeta - 1.0) <= 1e-9
     assert check.root_of_unity
 
 
 def test_phase_check_flags_nonscalar(p4, decomp):
-    check = controllability_phase_check(vertex_state(4, 0), decomp(p4), 0.37)
+    check = controllability_phase_check(decomp(p4), 0.37)
     assert not check.scalar

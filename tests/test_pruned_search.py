@@ -27,6 +27,7 @@ from qwalk import (
     pgst_candidates,
     pure_state,
     ratio_condition,
+    sign_flipped,
     vertex_state,
 )
 from qwalk.cli import _vertex_block_products
@@ -94,10 +95,10 @@ def _pair_states(n: int):
 
 def _assert_same_candidates(p, d) -> int:
     b = block_decompose(p, d)
-    got, want = pgst_candidates(p, b, d), _exhaustive_candidates(b)
-    assert [pattern.eps for pattern, _ in got] == [eps for eps, _ in want]
-    for (_, q), (_, matrix) in zip(got, want):
-        assert np.abs(q.matrix - matrix).max() <= 1e-12
+    got, want = pgst_candidates(b), _exhaustive_candidates(b)
+    assert [pattern.eps for pattern in got] == [eps for eps, _ in want]
+    for pattern, (_, matrix) in zip(got, want):
+        assert np.abs(sign_flipped(b, pattern) - matrix).max() <= 1e-12
     return len(b.off_diagonal_pairs())
 
 
@@ -179,13 +180,12 @@ def test_witness_cites_support_pairs_against_a_non_integer_square():
     cited = 0
     for d in _decompositions(_atlas_graphs(5), seed=29):
         for a in range(d.n):
-            support = block_decompose(vertex_state(d.n, a), d).support
-            if not support.off_diagonal:
+            pairs = block_decompose(vertex_state(d.n, a), d).off_diagonal_pairs()
+            if not pairs:
                 continue
-            outcome = ratio_condition(support, d.theta)
+            outcome = ratio_condition(pairs, d.theta)
             if not isinstance(outcome, RatioConditionFailure) or outcome.pair_a is None:
                 continue
-            pairs = sorted({(min(r, s), max(r, s)) for r, s in support.off_diagonal})
             assert outcome.pair_a in pairs and outcome.pair_b in pairs
             diffs = {(r, s): float(d.theta[r] - d.theta[s]) for r, s in pairs}
             assert outcome.ratio == diffs[outcome.pair_a] / diffs[outcome.pair_b]
@@ -214,9 +214,9 @@ def test_witness_scores_one_row(monkeypatch):
 
     g = random_graph(np.random.default_rng(40), 40, 0.1)
     d = decompose_graph(g)
-    support = block_decompose(vertex_state(40, 0), d).support
-    k = len(support.off_diagonal) // 2
+    pairs = block_decompose(vertex_state(40, 0), d).off_diagonal_pairs()
+    k = len(pairs)
     monkeypatch.setattr(qwalk.certificates, "_limit_denominator", counting)
-    outcome = ratio_condition(support, d.theta)
+    outcome = ratio_condition(pairs, d.theta)
     assert isinstance(outcome, RatioConditionFailure)
     assert k > 100 and 1 <= len(calls) <= k - 1
