@@ -7,18 +7,21 @@ exponentials only, so scan results are an independent check on everything
 the detectors claim; the shared minimizer (`timescan`) only sees the sampled
 values.  All inputs are plain numpy arrays.
 
-Unitary grids are built by doubling, U((f + j)h) = U(fh) U(jh), one batched
-product per doubling.  Return and transfer scans between pure states read one
-column of U(t): since U(t) is unitary, ||U xx* U* - yy*||_F equals
-sqrt(2) ||Ux - <y, Ux> y||, which needs no (grid, n, n) product.
+Grids are built by doubling, U((f + j)h) = U(fh) U(jh), one product per
+doubling.  Return and transfer scans between pure states, and the flatness
+scan of one column, evolve one vector: their grid is the (count, n) stack of
+U(t)x, since U(t) is unitary and ||U xx* U* - yy*||_F = sqrt(2) ||Ux - <y, Ux> y||.
+The (count, n, n) stack of U(t) is built only for mixed states and for the
+flatness of all columns.
 
-A zoom level is U(lo + j dt) = U(j dt) U(lo), j < 65: one batched product of
-the ladder U(j dt) with the base U(lo).  Every zoom step is the grid step
-times a power of two, so all zooms of one H ask for a few ladders, which are
-built once by doubling and kept for the current H up to _LADDER_BYTES.  The
-base is a fresh exponential at a zoom's first level, not an entry of the
-doubled main grid, whose round-off it would carry into every level below;
-each deeper level takes it from the previous level, of which lo is a point.
+A zoom level is U(lo + j dt) x = U(j dt) U(lo) x, j < 65 (U(lo + j dt) with no
+x): one batched product of the ladder U(j dt) with the base U(lo) x.  Every
+zoom step is the grid step times a power of two, so all zooms of one H ask for
+a few ladders, which are built once by doubling and kept for the current H up
+to _LADDER_BYTES.  The base is a fresh exponential at a zoom's first level,
+not an entry of the doubled main grid, whose round-off it would carry into
+every level below; each deeper level takes it from the previous level, of
+which lo is a point.
 """
 
 from __future__ import annotations
@@ -72,42 +75,51 @@ def _unitary_at(h: np.ndarray, t: float) -> np.ndarray:
     return dense_expm(1j * t * h)
 
 
-def _build_grid(h: np.ndarray, t0: float, step: float, count: int) -> np.ndarray:
-    """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built by doubling.
+def _build_grid(h: np.ndarray, t0: float, step: float, count: int, x: np.ndarray | None = None) -> np.ndarray:
+    """Stack of U_k = exp(i(t0 + k*step)H) for k = 0..count-1, or of the
+    vectors U_k x given x, built by doubling.
 
     With the first f entries filled, the next min(f, count - f) are
-    U(f*step) @ out[:f], as one batched product.
+    U(f*step) @ out[:f], as one batched product, or out[:f] @ U(f*step)^T,
+    one matrix product, for vectors.
     """
     n = h.shape[0]
-    out = np.empty((count, n, n), dtype=complex)
-    out[0] = _unitary_at(h, t0) if t0 != 0.0 else np.eye(n, dtype=complex)
+    out = np.empty((count, n, n) if x is None else (count, n), dtype=complex)
+    first = _unitary_at(h, t0) if t0 != 0.0 else np.eye(n, dtype=complex)
+    out[0] = first if x is None else first @ x
     filled = 1
     factor = _unitary_at(h, step)
     while filled < count:
         m = min(filled, count - filled)
-        np.matmul(factor, out[:m], out=out[filled : filled + m])
+        if x is None:
+            np.matmul(factor, out[:m], out=out[filled : filled + m])
+        else:
+            np.matmul(out[:m], factor.T, out=out[filled : filled + m])
         filled += m
         if filled < count:
             factor = factor @ factor if filled < _RESYNC_EVERY else _unitary_at(h, filled * step)
     return out
 
 
-def unitary_grid(h: np.ndarray, t0: float, step: float, count: int) -> np.ndarray:
-    """Stack of exp(i(t0 + k*step)H) for k = 0..count-1, built by doubling.
+def unitary_grid(h: np.ndarray, t0: float, step: float, count: int, x: np.ndarray | None = None) -> np.ndarray:
+    """Stack of U_k = exp(i(t0 + k*step)H) for k = 0..count-1, or of the
+    vectors U_k x given x, built by doubling.
 
     The most recently built grid is kept, so consecutive scans of one matrix
-    over one window and step share it.  A request for any other grid releases
-    the kept one before building, so at most one grid is live at a time
-    unless the caller still holds the old one.  The returned array is
+    and seed over one window and step share it.  A request for any other grid
+    releases the kept one before building, so at most one grid is live at a
+    time unless the caller still holds the old one.  The returned array is
     read-only.
     """
     global _last_grid
     h = np.asarray(h, dtype=complex)
-    key = (h.tobytes(), h.shape[0], float(t0), float(step), int(count))
+    x = None if x is None else np.asarray(x, dtype=complex)
+    seed = None if x is None else x.tobytes()
+    key = (h.tobytes(), h.shape[0], float(t0), float(step), int(count), seed)
     if _last_grid and _last_grid[0] == key:
         return _last_grid[1]
     _last_grid = ()
-    out = _build_grid(h, t0, step, count)
+    out = _build_grid(h, t0, step, count, x)
     out.setflags(write=False)
     _last_grid = (key, out)
     return out
@@ -131,13 +143,14 @@ def _ladder(h: np.ndarray, h_key: tuple, step: float, count: int) -> np.ndarray:
     return ladder
 
 
-def _zoom_levels(h: np.ndarray, objective):
-    """The refinement callback of one scan: the objective on U(lo + j*step), j < count.
+def _zoom_levels(h: np.ndarray, objective, x: np.ndarray | None = None):
+    """The refinement callback of one scan: the objective on U(lo + j*step)
+    (or on U(lo + j*step) x given x), j < count.
 
-    A level is ladder(step) @ U(lo), one batched product.  U(lo) is a fresh
-    exponential at a zoom's first level.  At a deeper level, whose step is
-    below the previous level's, lo is a point of the previous level, and U(lo)
-    is that level's entry there.
+    A level is ladder(step) @ base, one batched product, where the base is
+    U(lo) or U(lo) x.  It comes from a fresh exponential at a zoom's first
+    level.  At a deeper level, whose step is below the previous level's, lo
+    is a point of the previous level, and the base is that level's entry there.
     """
     h_key = (h.tobytes(), h.shape[0])
     parent: tuple = ()  # (lo, step, grid) of the previous level
@@ -151,7 +164,7 @@ def _zoom_levels(h: np.ndarray, objective):
             if 0 <= j < len(p_grid) and p_lo + p_step * j == lo:
                 base = p_grid[j]
         if base is None:
-            base = _unitary_at(h, lo)
+            base = _unitary_at(h, lo) if x is None else _unitary_at(h, lo) @ x
         grid = _ladder(h, h_key, step, count) @ base
         parent = (lo, step, grid)
         return objective(grid)
@@ -201,29 +214,33 @@ def _pure_vector(p: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def _batch_pure_return(u_stack: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """||U xx* U* - yy*||_F = sqrt(2) ||Ux - <y, Ux> y|| for unit x, y.
+def _batch_pure_return(ux: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||U xx* U* - yy*||_F = sqrt(2) ||Ux - <y, Ux> y|| for each row Ux of
+    the stack; unit x, y.
 
     The residual form has no cancellation near zero, unlike 2 - 2|<y, Ux>|^2.
-    einsum keeps these products off threaded BLAS gemv.
+    einsum keeps the overlaps and the squared norms off threaded BLAS gemv.
     """
-    ux = np.einsum("kij,j->ki", u_stack, x)
-    overlap = np.einsum("ki,i->k", ux, y.conj())
-    return np.sqrt(2.0) * np.linalg.norm(ux - overlap[:, None] * y, axis=1)
+    residual = np.multiply.outer(np.einsum("ki,i->k", ux, y.conj()), y)
+    np.subtract(ux, residual, out=residual)
+    parts = residual.view(float)  # real and imaginary parts, side by side
+    return np.sqrt(2.0 * np.einsum("ki,ki->k", parts, parts))
 
 
 def _return_objective(p: np.ndarray, target: np.ndarray):
-    """Stack objective ||U p U* - target||_F: one column of U if both are pure."""
+    """The objective ||U p U* - target||_F and the seed of its grid: the rows
+    Ux and x if p = xx* and the target are pure, else the stack of U and None."""
     x, y = _pure_vector(p), _pure_vector(target)
     if x is None or y is None:
-        return lambda u: _batch_return(u, p, target)
-    return lambda u: _batch_pure_return(u, x, y)
+        return (lambda u: _batch_return(u, p, target)), None
+    return (lambda ux: _batch_pure_return(ux, y)), x
 
 
-def _batch_flatness(u_stack: np.ndarray) -> np.ndarray:
-    """Largest distance from 1/n of |U(t)_ij|^2 over the stack's columns j."""
-    probs = np.abs(u_stack) ** 2
-    return np.abs(probs - 1.0 / u_stack.shape[1]).max(axis=(1, 2))
+def _batch_flatness(u: np.ndarray) -> np.ndarray:
+    """Largest distance from 1/n of |U(t)_ij|^2 over each entry of the stack:
+    every column of a (k, n, n) stack of U(t), or U(t)e_a of a (k, n) one."""
+    probs = np.abs(u) ** 2
+    return np.abs(probs - 1.0 / u.shape[1]).reshape(len(u), -1).max(axis=1)
 
 
 def _slope_bound(h: np.ndarray) -> float:
@@ -238,12 +255,14 @@ def _slope_bound(h: np.ndarray) -> float:
 def _scan(
     h: np.ndarray,
     objective,
+    x: np.ndarray | None,
     window: tuple[float, float],
     step: float,
     record_below: float,
     time_resolution: float,
     max_records: int | None,
 ) -> ScanResult:
+    """Scan the objective on the grid U(t) x, or on the stack of U(t) with no x."""
     h = np.asarray(h, dtype=complex)
     t0, t1 = float(window[0]), float(window[1])
     if step <= 0:
@@ -251,7 +270,7 @@ def _scan(
     if t1 <= t0:
         raise ValueError("empty scan window")
     count = int(np.floor((t1 - t0) / step)) + 1
-    values = objective(unitary_grid(h, t0, step, count))
+    values = objective(unitary_grid(h, t0, step, count, x))
     ceiling = float(values.max())
     if ceiling <= record_below:
         # objective is flat at zero scale (stationary state): nothing to refine
@@ -259,7 +278,7 @@ def _scan(
     minima, floor = scan_minima(
         t0 + step * np.arange(count),
         values,
-        _zoom_levels(h, objective),
+        _zoom_levels(h, objective, x),
         # a minimum can only dip below record_below if its grid value is
         # within one slope-bounded step of it
         max(10.0 * record_below, 2.0 * _slope_bound(h) * step),
@@ -291,7 +310,7 @@ def scan_return(
     p = np.asarray(p, dtype=complex)
     return _scan(
         h,
-        _return_objective(p, p),
+        *_return_objective(p, p),
         window,
         step,
         record_below,
@@ -315,7 +334,7 @@ def scan_transfer(
     q = np.asarray(q, dtype=complex)
     return _scan(
         h,
-        _return_objective(p, q),
+        *_return_objective(p, q),
         window,
         step,
         record_below,
@@ -339,7 +358,8 @@ def scan_flatness(
         raise ValueError("vertex index out of range")
     return _scan(
         h,
-        lambda u: _batch_flatness(u[:, :, a : a + 1]),
+        _batch_flatness,
+        np.eye(h.shape[0], dtype=complex)[a],
         window,
         step,
         record_below,
@@ -357,7 +377,7 @@ def scan_uniform_flatness(
     max_records: int | None = None,
 ) -> ScanResult:
     """Scan the probability defect of all columns of U(t) at a common time."""
-    return _scan(h, _batch_flatness, window, step, record_below, time_resolution, max_records)
+    return _scan(h, _batch_flatness, None, window, step, record_below, time_resolution, max_records)
 
 
 def evolve_dense(p: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:

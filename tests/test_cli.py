@@ -311,6 +311,29 @@ def test_out_of_memory_is_a_one_line_failure(capsys, monkeypatch, k2_file):
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_in_a_capped_child_is_a_one_line_failure(k2_file):
+    """The scan above, unpatched, asks for the 6.4 GB grid of U(t)e_0; with
+    the child's address space capped at 1 GiB before numpy loads, it exits 1
+    with one line and no traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalk.cli.__file__)))
+    capped = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from qwalk.cli import entry_point; entry_point()"
+    )
+    argv = ["scan", k2_file, "--kind", "return", "--state", "vertex:0", "--grid-step", "1e-7"]
+    done = subprocess.run(
+        [sys.executable, "-c", capped, *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_analyze_p24_end_vertex_is_controllable(capsys, tmp_path):
     """The end vertex of P24 has a simple spectrum and full support: the
     algebra is the full M_24."""

@@ -213,8 +213,9 @@ def _two_vertex_corpus(n: int, rng) -> list[np.ndarray]:
 
 
 def test_pure_returns_match_the_dense_formula():
-    """On every atlas graph with n <= 5, the one-column objective equals the
-    dense U p U* formula for returns and transfers between pure states.
+    """On every atlas graph with n <= 5, the objective on the evolved vector
+    Ux equals the dense U p U* formula for returns and transfers between pure
+    states xx* and yy*.
 
     The grid is the atlas sweep's window [0, 20] sampled at every tenth point
     of its 4e-3 step."""
@@ -231,7 +232,8 @@ def test_pure_returns_match_the_dense_formula():
         for i, p in enumerate(states):
             assert qwalk.oracle._pure_vector(p) is not None
             for q in (p, states[(i + 1) % len(states)]):
-                fast = qwalk.oracle._return_objective(p, q)(u)
+                objective, x = qwalk.oracle._return_objective(p, q)
+                fast = objective(u @ x)
                 dense = qwalk.oracle._batch_return(u, p, q)
                 assert np.abs(fast - dense).max() <= 1e-12, (ag.edges(), i)
                 checked += 1
@@ -269,10 +271,10 @@ def test_oracle_imports_nothing_spectral():
 SWEEP = dict(window=(0.0, 20.0), step=4e-3, max_records=2, time_resolution=1e-12)
 
 
-def _reference_levels(h, objective):
-    """Zoom levels as a fresh doubling grid each, with no ladder and no
-    parent base: the reference the ladder levels must match."""
-    return lambda lo, step, count: objective(qwalk.oracle._build_grid(h, lo, step, count))
+def _reference_levels(h, objective, x=None):
+    """Zoom levels as a fresh doubling grid each, of U(t) x or of U(t), with
+    no ladder and no parent base: the reference the ladder levels must match."""
+    return lambda lo, step, count: objective(qwalk.oracle._build_grid(h, lo, step, count, x))
 
 
 def _zoom_scans(h):
@@ -332,11 +334,12 @@ def _counting(monkeypatch, name):
 
 
 def test_a_second_scan_builds_no_ladder(monkeypatch, p3):
-    """Repeated on the same H, a scan builds no grid and no ladder: its one
-    exponential per zoom is the zoom's first base."""
+    """Repeated on the same H, a pure-state scan builds no grid and no ladder:
+    its one exponential per zoom is the zoom's first base."""
     h = p3.adjacency().astype(float)
     p = vertex_state(3, 0).matrix
     first = scan_return(p, h, **SWEEP)
+    assert qwalk.oracle._last_grid[1].shape == (5001, 3)  # the grid of U(t)e_0
     builds = _counting(monkeypatch, "_build_grid")
     expms = _counting(monkeypatch, "dense_expm")
     steps = _counting(monkeypatch, "_ladder")
@@ -363,3 +366,79 @@ def test_ladders_are_dropped_when_h_changes(k2, p3):
     gc.collect()
     assert ladder() is None
     assert qwalk.oracle._ladders[0] == (h.astype(complex).tobytes(), 3)
+
+
+# -- streamed vector scans ---------------------------------------------------------
+
+
+def _stacked_scans(h):
+    """Return and transfer from vertex 0 and the flatness of column 0, each
+    read off the full (count, n, n) stack of U(t) and its zoom levels, one
+    column per U: the reference the streamed scans must match."""
+    n = h.shape[0]
+    e0, e1 = np.eye(n, dtype=complex)[0], np.eye(n, dtype=complex)[n - 1]
+    oracle = qwalk.oracle
+    settings = (SWEEP["window"], SWEEP["step"])
+    zoom = (SWEEP["time_resolution"], SWEEP["max_records"])
+
+    def pure(y):
+        return lambda u: oracle._batch_pure_return(np.einsum("kij,j->ki", u, e0), y)
+
+    return (
+        lambda: oracle._scan(h, pure(e0), None, *settings, oracle.DEFAULT_RECORD_BELOW, *zoom),
+        lambda: oracle._scan(h, pure(e1), None, *settings, oracle.DEFAULT_RECORD_BELOW, *zoom),
+        lambda: oracle._scan(h, lambda u: oracle._batch_flatness(u[:, :, 0:1]), None, *settings, 1e-8, *zoom),
+    )
+
+
+def test_streamed_scans_match_the_stacked_reference():
+    """On every atlas graph on at most 5 vertices, plain and in one seeded
+    orientation, the return, transfer and column-flatness scans on U(t)e_0
+    record as many minima as the stacked scans, with values and floors
+    within 1e-13 and times within 1e-12 (1e-7 where the value is round-off,
+    below 1e-13)."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(26)
+    scans = 0
+    for ag in nx.graph_atlas_g():
+        n = ag.number_of_nodes()
+        if not 1 <= n <= 5:
+            continue
+        g = Graph.from_edges(n, [tuple(sorted(e)) for e in ag.edges()])
+        for h in (g.adjacency().astype(complex), -1j * skew_adjacency(random_orientation(rng, g))):
+            e0, e1 = vertex_state(n, 0).matrix, vertex_state(n, n - 1).matrix
+            streamed = (
+                lambda: scan_return(e0, h, **SWEEP),
+                lambda: scan_transfer(e0, e1, h, **SWEEP),
+                lambda: scan_flatness(h, 0, **SWEEP),
+            )
+            for streamed_scan, stacked_scan in zip(streamed, _stacked_scans(h)):
+                fast = streamed_scan()
+                assert qwalk.oracle._last_grid[1].ndim == 2
+                reference = stacked_scan()
+                assert qwalk.oracle._last_grid[1].ndim == 3
+                assert len(fast.minima) == len(reference.minima), ag.edges()
+                assert abs(fast.floor - reference.floor) <= 1e-13
+                for (t, v), (t_ref, v_ref) in zip(fast.minima, reference.minima):
+                    assert abs(v - v_ref) <= 1e-13
+                    assert abs(t - t_ref) <= (1e-12 if v_ref > 1e-13 else 1e-7), (ag.edges(), t, v)
+                scans += 1
+    assert scans == 312
+
+
+def test_a_vertex_return_and_its_column_share_one_vector_grid(monkeypatch, p3):
+    """scan_return(e_a) and then scan_flatness(a) on one H build one grid
+    between them, the (count, n) stack of U(t)e_a; scan_uniform_flatness
+    still builds the (count, n, n) stack of U(t)."""
+    h = p3.adjacency().astype(float)
+    monkeypatch.setattr(qwalk.oracle, "_last_grid", ())
+    builds = _counting(monkeypatch, "_build_grid")
+    scan_return(vertex_state(3, 1).matrix, h, **SWEEP)
+    scan_flatness(h, 1, **SWEEP)
+    grids = [args for args in builds if args[3] == 5001]
+    assert len(grids) == 1 and np.array_equal(grids[0][4], np.eye(3)[1])
+    assert qwalk.oracle._last_grid[1].shape == (5001, 3)
+    scan_uniform_flatness(h, **SWEEP)
+    grids = [args for args in builds if args[3] == 5001]
+    assert len(grids) == 2 and grids[1][4] is None
+    assert qwalk.oracle._last_grid[1].shape == (5001, 3, 3)
