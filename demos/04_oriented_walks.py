@@ -12,11 +12,11 @@ import numpy as np
 from qwalk import (
     OrientedGraph,
     bipartition,
+    block_decompose,
     cycle_graph,
     decompose_oriented,
     dense_expm,
     detect_periodicity,
-    eigenvalue_support_indices,
     graph_stats,
     natural_orientation,
     periodic_vertex_bounds,
@@ -57,5 +57,5 @@ print(f"entrywise |exp(tS)| matches |exp(itA)| over 25 random times; worst gap {
 
 d4 = decompose_oriented(nat)
 print("\nsupport sizes per vertex of the oriented C4:", [
-    len(eigenvalue_support_indices(d4, a)) for a in range(4)
+    int(block_decompose(vertex_state(4, a), d4).support.diagonal().sum()) for a in range(4)
 ])

@@ -69,7 +69,6 @@ from .spectral import (
     VertexRelation,
     decompose_graph,
     decompose_oriented,
-    eigenvalue_support_indices,
     interlacing_check,
     spectral_decompose,
     transition_matrix,

@@ -9,7 +9,7 @@ of sqrt(Delta) for one square-free Delta, confirmed in integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,11 +134,37 @@ class RatioConditionFailure:
 @dataclass(frozen=True)
 class RatioConditionAmbiguous:
     reason: str
-    diagnostics: dict = field(default_factory=dict)
 
 
-def _irrational_witness(pairs, diffs, ref):
-    """Most irrational-looking ratio diffs[j] / diffs[ref], scored against small rationals.
+def _spanning_forest(pairs, m: int) -> list[int]:
+    """Indices of the pairs, taken in order, that join two components of the
+    graph on m groups that the earlier ones span (union-find): a spanning
+    forest of the support graph.  Stops once the forest connects every group
+    that the pairs touch."""
+    parent = list(range(m))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    touched = len({g for pair in pairs for g in pair})
+    forest = []
+    for i, (r, s) in enumerate(pairs):
+        a, b = root(r), root(s)
+        if a != b:
+            parent[a] = b
+            forest.append(i)
+            if len(forest) == touched - 1:
+                break
+    return forest
+
+
+def _irrational_witness(pairs, diffs, ref, den):
+    """Most irrational-looking ratio diffs[j] / diffs[ref], scored by its distance
+    to the nearest fraction with denominator at most den, as (score, pairs[j],
+    ratio); None when the row holds only ref.
 
     One row suffices: were every difference a rational multiple of
     diffs[ref], every pairwise ratio would be rational.
@@ -148,10 +174,10 @@ def _irrational_witness(pairs, diffs, ref):
         if j == ref:
             continue
         ratio = diff / diffs[ref]
-        p, q = _limit_denominator(ratio, _WITNESS_DEN)
+        p, q = _limit_denominator(ratio, den)
         score = abs(ratio - p / q)
         if best is None or score > best[0]:
-            best = (score, pairs[j], pairs[ref], ratio)
+            best = (score, pairs[j], ratio)
     return best
 
 
@@ -164,117 +190,96 @@ def ratio_condition(
 ) -> RatioCertificate | RatioConditionFailure | RatioConditionAmbiguous:
     """Certify or refute rationality of all support eigenvalue-difference ratios.
 
-    The certificate route squares each difference: for rational states on
-    integer (skew-)adjacency problems a difference is an integer multiple of
-    sqrt(Delta), so its square must be a near-integer and the square-free
-    parts of all squares must agree.  Delta is the square-free part of the
-    gcd of the rounded squares, multipliers are round(diff / sqrt(Delta)),
-    and the residual is confirmed numerically.
-
     `support` is the sorted list of off-diagonal support pairs (r, s) with
-    r < s (`BlockDecomposition.off_diagonal_pairs`).  `rational_state=False`
-    relaxes the verdict for states that are not entrywise rational:
-    non-integer squares then yield an inconclusive result instead of a
-    refutation.
+    r < s (`BlockDecomposition.off_diagonal_pairs`).  Every difference
+    theta_r - theta_s is a signed sum of the differences along a path of a
+    spanning forest of the support graph, whose edges are the first pairs
+    that join two components (`_spanning_forest`; on a complete support,
+    the first row).  So all differences are integer multiples of one
+    sqrt(Delta) iff the forest's are, with the same gcd, and only the forest
+    is tested: at most m - 1 differences.
+
+    The certificate route squares each forest difference: for rational states
+    on integer (skew-)adjacency problems a difference is an integer multiple
+    of sqrt(Delta), so its square must be a near-integer and the square-free
+    parts of all squares must agree.  Delta is the square-free part of the
+    gcd of the rounded squares.  The multipliers round(diff / sqrt(Delta))
+    and the residual are then read over every pair.
+
+    When a forest square is not a near-integer, the first such difference is
+    the reference of a witness row (`_irrational_witness`) scored against
+    fractions with denominator at most 1000, or max_den for a state that is
+    not entrywise rational (`rational_state=False`).  A score above tol names
+    a failing pair.  Otherwise a rational state is refuted without a pair,
+    and for any other state the integer certificate does not apply: the
+    result is inconclusive.
     """
     theta = np.asarray(theta, dtype=float)
     pairs = list(support)
     if not pairs:
         raise ValueError("empty off-diagonal support: state is stationary")
-    diffs = [float(theta[r] - theta[s]) for r, s in pairs]
-    if min(diffs) <= 0:
+    at = np.asarray(pairs, dtype=int)
+    diffs = theta[at[:, 0]] - theta[at[:, 1]]
+    if diffs.min() <= 0:
         raise ValueError("support pairs must index a strictly decreasing eigenvalue sequence")
 
-    squares = [d * d for d in diffs]
-    rounded = [int(round(sq)) for sq in squares]
-    square_gap = max(abs(sq - k) for sq, k in zip(squares, rounded))
+    forest = _spanning_forest(pairs, len(theta))
+    edges, f = [pairs[i] for i in forest], diffs[forest].tolist()
+    rounded = [round(x * x) for x in f]
+    off = [i for i, (x, k) in enumerate(zip(f, rounded)) if abs(x * x - k) > tol or k < 1]
 
-    if square_gap <= tol and min(rounded) >= 1:
-        parts = [squarefree_part(k)[1] for k in rounded]
-        if len(set(parts)) > 1:
-            i = next(i for i, b in enumerate(parts) if b != parts[0])
-            ratio = diffs[i] / diffs[0]
+    if not off:
+        parts = {k: squarefree_part(k)[1] for k in set(rounded)}
+        i = next((i for i, k in enumerate(rounded) if parts[k] != parts[rounded[0]]), None)
+        if i is not None:
             return RatioConditionFailure(
                 reason="irrational ratio of eigenvalue differences",
-                pair_a=pairs[i],
-                pair_b=pairs[0],
-                ratio=ratio,
+                pair_a=edges[i],
+                pair_b=edges[0],
+                ratio=f[i] / f[0],
             )
-        g2 = math.gcd(*rounded) if len(rounded) > 1 else rounded[0]
-        delta = squarefree_part(g2)[1]
+        delta = squarefree_part(math.gcd(*rounded))[1]
         root = math.sqrt(delta)
-        mults = [int(round(d / root)) for d in diffs]
-        if min(mults) < 1:
-            return RatioConditionAmbiguous(
-                reason="degenerate multiplier in certificate",
-                diagnostics={"diffs": diffs, "delta": delta},
-            )
-        residual = max(abs(d - m * root) for d, m in zip(diffs, mults))
+        mults = np.rint(diffs / root)
+        if mults.min() < 1:
+            return RatioConditionAmbiguous("degenerate multiplier in certificate")
+        residual = float(np.abs(diffs - mults * root).max())
         if residual <= tol:
+            mults = mults.astype(int).tolist()
             multipliers = {}
             for (r, s), m in zip(pairs, mults):
                 multipliers[(r, s)] = m
                 multipliers[(s, r)] = -m
             return RatioCertificate(
-                delta=delta,
-                multipliers=multipliers,
-                residual=float(residual),
-                g=math.gcd(*[abs(m) for m in mults]),
+                delta=delta, multipliers=multipliers, residual=residual, g=math.gcd(*mults)
             )
         if residual <= 10 * tol:
-            return RatioConditionAmbiguous(
-                reason="certificate residual within a factor 10 of tolerance",
-                diagnostics={"residual": residual, "delta": delta},
-            )
+            return RatioConditionAmbiguous("certificate residual within a factor 10 of tolerance")
         return RatioConditionFailure(
             reason="squared differences are integers but no common sqrt(Delta) fits",
             ratio=residual,
         )
 
-    # Some squared difference is not close to an integer >= 1; the first one
-    # is the reference of the witness row.
-    if rational_state:
-        ref = next(
-            i for i, (sq, k) in enumerate(zip(squares, rounded)) if abs(sq - k) > tol or k < 1
+    ref = off[0]
+    witness = _irrational_witness(edges, f, ref, _WITNESS_DEN if rational_state else max_den)
+    if witness is not None and witness[0] > tol:
+        _, pair_a, ratio = witness
+        return RatioConditionFailure(
+            reason="irrational ratio of eigenvalue differences",
+            pair_a=pair_a,
+            pair_b=edges[ref],
+            ratio=ratio,
         )
-        witness = _irrational_witness(pairs, diffs, ref)
-        if witness is not None and witness[0] > tol:
-            _, pair_a, pair_b, ratio = witness
-            return RatioConditionFailure(
-                reason="irrational ratio of eigenvalue differences",
-                pair_a=pair_a,
-                pair_b=pair_b,
-                ratio=ratio,
-            )
+    if rational_state:
         return RatioConditionFailure(
             reason=(
                 "squared eigenvalue difference is not a near-integer, which is "
                 "impossible for a periodic rational state"
             ),
         )
-    # Non-rational state: the integer certificate does not apply.
-    approx_ok = True
-    witness = None
-    for i in range(len(diffs)):
-        for j in range(i + 1, len(diffs)):
-            ratio = diffs[i] / diffs[j]
-            if rational_approx(ratio, max_den, tol) is None:
-                approx_ok = False
-                witness = (pairs[i], pairs[j], ratio)
-    if approx_ok:
-        return RatioConditionAmbiguous(
-            reason=(
-                "ratios admit rational approximations but squared differences are "
-                "not near-integers; no integer certificate for a non-rational state"
-            ),
-            diagnostics={"square_gap": square_gap},
-        )
-    pair_a, pair_b, ratio = witness
-    return RatioConditionFailure(
-        reason="no rational approximation for a difference ratio",
-        pair_a=pair_a,
-        pair_b=pair_b,
-        ratio=ratio,
+    return RatioConditionAmbiguous(
+        "ratios admit rational approximations but squared differences are "
+        "not near-integers; no integer certificate for a non-rational state"
     )
 
 

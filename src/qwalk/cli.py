@@ -236,10 +236,11 @@ def cmd_analyze(args) -> int:
             cert_tol=cfg.cert_tol,
             max_den=cfg.max_den,
             oriented=cfg.oriented,
+            blocks=blocks,
         ).to_json()
         try:
             bounds = periodic_vertex_bounds(
-                x, d, vertex, certified_periodic=doc["periodicity"]["verdict"] == "yes"
+                x, d, vertex, certified_periodic=doc["periodicity"]["verdict"] == "yes", blocks=blocks
             )
         except ValueError:
             pass  # the vertex is in range, so the graph is disconnected: no bounds
@@ -331,26 +332,16 @@ def _verify_graph_invariants(x, d, cfg: RunConfig, rng) -> list[dict]:
     add("spectral.multiplicity", res["multiplicity"], n * cfg.tol)
 
     ts = rng.uniform(0.0, 10.0, size=20)
-    unit = max(
-        float(np.linalg.norm(transition_matrix(d, t) @ transition_matrix(d, t).conj().T - np.eye(n)))
-        for t in ts
-    )
+    us = [transition_matrix(d, t) for t in ts]
+    unit = max(float(np.linalg.norm(u @ u.conj().T - np.eye(n))) for u in us)
     add("walk.unitarity", unit, n * cfg.tol)
-    group = 0.0
-    for t, s in zip(ts[:10], ts[10:]):
-        group = max(
-            group,
-            float(
-                np.linalg.norm(
-                    transition_matrix(d, t + s)
-                    - transition_matrix(d, t) @ transition_matrix(d, s)
-                )
-            ),
-        )
+    group = max(
+        float(np.linalg.norm(transition_matrix(d, t + s) - u_t @ u_s))
+        for t, s, u_t, u_s in zip(ts[:10], ts[10:], us[:10], us[10:])
+    )
     add("walk.group_law", group, n * cfg.tol)
     path = max(
-        float(np.linalg.norm(transition_matrix(d, t) - oracle.dense_expm(1j * t * d.source)))
-        for t in ts[:10]
+        float(np.linalg.norm(u - oracle.dense_expm(1j * t * d.source))) for t, u in zip(ts[:10], us)
     )
     add("oracle.path_independence", path, 1e-8)
 

@@ -23,8 +23,8 @@ from .certificates import (
     ratio_condition,
 )
 from .graphs import Graph, OrientedGraph, eccentricity, max_valency
-from .spectral import SpectralDecomposition, eigenvalue_support_indices, transition_matrix
-from .states import BlockDecomposition, DensityMatrix, block_decompose, density_matrix, evolve
+from .spectral import SpectralDecomposition, transition_matrix
+from .states import BlockDecomposition, DensityMatrix, block_decompose, density_matrix, evolve, vertex_state
 from .timescan import first_below
 
 DEFAULT_ACCEPT_TOL = 1e-8
@@ -45,10 +45,6 @@ class EnumerationCapExceeded(RuntimeError):
     def __init__(self, pairs: int):
         super().__init__(f"would enumerate 2^{pairs} sign patterns ({pairs} off-diagonal pairs)")
         self.pairs = pairs
-
-    @property
-    def count(self) -> int:
-        return 2**self.pairs
 
 
 @dataclass(frozen=True)
@@ -93,15 +89,16 @@ def detect_periodicity(
     max_den: int = DEFAULT_MAX_DEN,
     blocks: BlockDecomposition | None = None,
 ) -> DetectionReport:
-    """Is the real state periodic, and with what minimum period?
+    """Is the state periodic, and with what minimum period?
 
-    Stationary states (empty off-diagonal support) are periodic for every t.
-    Otherwise the ratio condition decides: a certificate yields the period
-    sigma = 2*pi/(sqrt(Delta)*g), confirmed by evolving the state; a failure
-    witness refutes periodicity.
+    P(t) = sum over blocks of exp(i t (theta_r - theta_s)) E_r P E_s for any
+    state, real or not.  Stationary states (empty off-diagonal support) are
+    periodic for every t.  Otherwise the ratio condition decides: a
+    certificate yields the period sigma = 2*pi/(sqrt(Delta)*g), confirmed by
+    evolving the state; a failure witness refutes periodicity.  Only a real,
+    entrywise rational state takes the refutation that holds for rational
+    states alone.
     """
-    if not p.real:
-        raise ValueError("periodicity detection requires a real state")
     ambiguous = _grouping_ambiguous(d)
     if ambiguous:
         return DetectionReport(
@@ -117,7 +114,7 @@ def detect_periodicity(
             residual=residual,
             warnings=("stationary: the state commutes with the walk, so every t is a period",),
         )
-    outcome = ratio_condition(pairs, d.theta, max_den, cert_tol, rational_state=p.rational)
+    outcome = ratio_condition(pairs, d.theta, max_den, cert_tol, rational_state=p.rational and p.real)
     if isinstance(outcome, RatioConditionFailure):
         return DetectionReport("no", reason=outcome.describe())
     if isinstance(outcome, RatioConditionAmbiguous):
@@ -381,12 +378,6 @@ def pgst_witness_search(
     return BestTransfer(scan.t, scan.value)
 
 
-def _vertex_support(d: SpectralDecomposition, a: int, tol: float = 1e-8) -> list[tuple[int, int]]:
-    """The sorted pairs (r, s), r < s, of the eigenvalue support of vertex a."""
-    idx = eigenvalue_support_indices(d, a, tol)
-    return [(r, s) for r in idx for s in idx if r < s]
-
-
 def _is_oriented(d: SpectralDecomposition) -> bool:
     """Is the source exactly -iS for a nonzero real S, the walk of an oriented graph?"""
     return bool(d.source.imag.any() and not d.source.real.any())
@@ -522,10 +513,13 @@ def detect_local_uniform_mixing(
     cert_tol: float = DEFAULT_CERT_TOL,
     max_den: int = DEFAULT_MAX_DEN,
     oriented: bool | None = None,
+    blocks: BlockDecomposition | None = None,
 ) -> DetectionReport:
     """Does the walk ever spread vertex a uniformly over all vertices?
 
-    Stage one reports the ratio condition on the vertex support: for walks on
+    Stage one reports the ratio condition on the vertex support, the
+    off-diagonal pairs of the block mask of e_a (`blocks`, when given, is
+    that block decomposition and is not worked out again): for walks on
     oriented graphs a flat column is forced to have algebraic entries, so a
     failed ratio condition rules mixing out; for plain graphs and other
     Hermitian walks the same check is advisory only.  Stage two searches the
@@ -540,7 +534,8 @@ def detect_local_uniform_mixing(
     if oriented is None:
         oriented = _is_oriented(d)
     warnings = []
-    support = _vertex_support(d, a)
+    b = blocks if blocks is not None else block_decompose(vertex_state(d.n, a), d)
+    support = b.off_diagonal_pairs()
     if support:
         outcome = ratio_condition(support, d.theta, max_den, cert_tol, rational_state=True)
         if isinstance(outcome, RatioCertificate):
@@ -597,9 +592,10 @@ def periodic_vertex_bounds(
     d: SpectralDecomposition,
     a: int,
     certified_periodic: bool = False,
-    tol: float = 1e-8,
+    blocks: BlockDecomposition | None = None,
 ) -> VertexBounds:
-    """Counting bounds on the vertex eigenvalue support.
+    """Counting bounds on the vertex eigenvalue support, the groups on the
+    diagonal of the block mask of e_a (`blocks`, when given).
 
     ecc(a) + 1 <= |esupp(a)| holds on every connected graph; for a certified
     periodic vertex the support also fits into 2 * max_valency + 1 slots, so
@@ -608,7 +604,8 @@ def periodic_vertex_bounds(
     ecc = eccentricity(x, a)
     if ecc is None:
         raise ValueError("bounds require a connected graph")
-    support_size = len(eigenvalue_support_indices(d, a, tol))
+    b = blocks if blocks is not None else block_decompose(vertex_state(d.n, a), d)
+    support_size = int(b.support.diagonal().sum())
     upper = 2 * max_valency(x) + 1
     consistent = ecc + 1 <= support_size
     if certified_periodic:

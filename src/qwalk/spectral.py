@@ -247,11 +247,3 @@ def interlacing_check(h: np.ndarray, subset, tol: float = 1e-9) -> bool:
         if mu[i] < lam[i] - tol or mu[i] > lam[i + n - k] + tol:
             return False
     return True
-
-
-def eigenvalue_support_indices(d: SpectralDecomposition, a: int, tol: float = 1e-8) -> tuple[int, ...]:
-    """Indices r with E_r e_a != 0 (the eigenvalue support of vertex a)."""
-    if not (0 <= a < d.n):
-        raise ValueError("vertex index out of range")
-    norms = np.linalg.norm(d.columns([a])[:, :, 0], axis=1)
-    return tuple(int(r) for r in np.nonzero(norms > tol)[0])

@@ -45,7 +45,6 @@ from qwalk import (
     vertex_state,
 )
 from qwalk.graphs import Graph, OrientedGraph
-from qwalk.spectral import eigenvalue_support_indices
 
 nx = pytest.importorskip("networkx")
 
@@ -138,7 +137,7 @@ def _sweep_graph(g: Graph) -> GraphRecord:
                 oracle_flat=oracle_flat,
                 mixing=mixing,
                 ecc_plus_one=stats.eccentricity[a] + 1 if stats.connected else None,
-                support_size=len(eigenvalue_support_indices(d, a)),
+                support_size=int(block_decompose(state, d).support.diagonal().sum()),
             )
         )
     rec.uniform = detect_uniform_mixing(d, t_max=SWEEP_WINDOW[1], grid_points=SWEEP_GRID_POINTS)
@@ -375,7 +374,7 @@ def test_criterion_09_counting_bounds(atlas_sweep, rng):
             per = detect_periodicity(vertex_state(x.n, a), d)
             if per.verdict == "yes" and per.certificate is not None:
                 periodic_verts += 1
-                assert len(eigenvalue_support_indices(d, a)) <= upper
+                assert block_decompose(vertex_state(x.n, a), d).support.diagonal().sum() <= upper
     assert periodic_verts >= 3
     _passline(9, f"ecc+1 <= |esupp| on {checked} vertices; {periodic_verts} periodic oriented vertices bounded")
 

@@ -10,12 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk.certificates
 from qwalk import (
+    Graph,
+    OrientedGraph,
     RatioCertificate,
     RatioConditionAmbiguous,
     RatioConditionFailure,
     block_decompose,
     decompose_graph,
+    decompose_oriented,
     density_matrix,
     minimum_period,
     path_graph,
@@ -203,6 +207,81 @@ def test_ratio_condition_empty_support_raises(k2, decomp):
     b = block_decompose(maximally_mixed(2), d)
     with pytest.raises(ValueError, match="stationary"):
         ratio_condition(b.off_diagonal_pairs(), d.theta)
+
+
+def _all_pairs_reference(pairs, theta, tol=1e-7):
+    """The ratio condition of a rational state tested on every support pair:
+    (outcome class, certificate JSON or None)."""
+    diffs = [float(theta[r] - theta[s]) for r, s in pairs]
+    rounded = [round(x * x) for x in diffs]
+    if any(abs(x * x - k) > tol or k < 1 for x, k in zip(diffs, rounded)):
+        return RatioConditionFailure, None
+    if len({squarefree_part(k)[1] for k in rounded}) > 1:
+        return RatioConditionFailure, None
+    delta = squarefree_part(math.gcd(*rounded))[1]
+    mults = [round(x / math.sqrt(delta)) for x in diffs]
+    residual = max(abs(x - m * math.sqrt(delta)) for x, m in zip(diffs, mults))
+    if min(mults) < 1 or tol < residual <= 10 * tol:
+        return RatioConditionAmbiguous, None
+    if residual > tol:
+        return RatioConditionFailure, None
+    multipliers = {**dict(zip(pairs, mults)), **{(s, r): -m for (r, s), m in zip(pairs, mults)}}
+    return RatioCertificate, RatioCertificate(delta, multipliers, residual, math.gcd(*mults)).to_json()
+
+
+def test_forest_matches_all_pairs_on_the_atlas():
+    """On every vertex state of every graph on at most 6 vertices, plain and
+    with a seeded orientation, testing the spanning forest gives the outcome
+    class and certificate of testing every support pair."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(6)
+    checked = certified = 0
+    for ag in nx.graph_atlas_g()[1:]:
+        n = ag.number_of_nodes()
+        if n > 6:
+            break
+        edges = sorted(tuple(sorted(e)) for e in ag.edges())
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+        walks = [decompose_graph(Graph.from_edges(n, edges))]
+        if edges:
+            walks.append(decompose_oriented(OrientedGraph.from_arcs(n, arcs)))
+        for d in walks:
+            for a in range(n):
+                pairs = block_decompose(vertex_state(n, a), d).off_diagonal_pairs()
+                if not pairs:
+                    continue
+                outcome = ratio_condition(pairs, d.theta)
+                want_cls, want_json = _all_pairs_reference(pairs, d.theta)
+                assert type(outcome) is want_cls, (edges, a)
+                if want_json is not None:
+                    assert outcome.to_json() == want_json, (edges, a)
+                    certified += 1
+                checked += 1
+    assert checked > 1000 and certified > 100
+
+
+def test_non_rational_state_scores_one_forest_row(monkeypatch):
+    """cos 1 e_0 + sin 1 e_1 on a seeded G(32, 0.3) supports all 496 pairs of
+    its 32 groups; one ratio_condition scores at most m - 1 = 31 ratios,
+    where a test of every pair of differences would take 122,760."""
+    from conftest import random_graph
+
+    d = decompose_graph(random_graph(np.random.default_rng(32), 32, 0.3))
+    z = np.zeros(32)
+    z[0], z[1] = math.cos(1.0), math.sin(1.0)
+    state = pure_state(z)
+    assert not state.rational
+    pairs = block_decompose(state, d).off_diagonal_pairs()
+    assert d.m == 32 and len(pairs) == 496
+    calls = []
+    original = qwalk.certificates._limit_denominator
+    monkeypatch.setattr(
+        qwalk.certificates, "_limit_denominator", lambda x, den: calls.append(den) or original(x, den)
+    )
+    outcome = ratio_condition(pairs, d.theta, rational_state=False)
+    assert isinstance(outcome, (RatioConditionAmbiguous, RatioConditionFailure))
+    assert 0 < len(calls) <= d.m - 1
+    assert set(calls) == {10**6}  # the row of a non-rational state is scored against max_den
 
 
 # -- minimum period and the transfer-time bound -----------------------------------

@@ -506,6 +506,17 @@ def test_verify_counts_off_diagonal_pairs_without_their_diagonal(capsys, monkeyp
     assert code == 1
 
 
+def test_verify_builds_each_walk_matrix_once(capsys, monkeypatch, tmp_path):
+    """verify forms U(t) once for each of its 20 random times, U(t + s) once
+    for each of its 10 pairs, and one U(t) per checked vertex state: 33 calls
+    at n >= 3."""
+    path = tmp_path / "c10.txt"
+    path.write_text("".join(f"{u} {(u + 1) % 10}\n" for u in range(10)))
+    calls = _count_calls(monkeypatch, ["transition_matrix"])
+    code, _, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0 and calls == {"transition_matrix": 33}
+
+
 def test_scipy_loads_only_for_the_oracle(k2_file):
     """`import qwalk` and `qwalk spectra` leave scipy unloaded; the oracle's
     dense exponential (`qwalk scan`) loads it."""

@@ -106,10 +106,18 @@ def test_periodicity_stationary(k2, decomp):
     assert any("stationary" in w for w in report.warnings)
 
 
-def test_periodicity_requires_real_state(k2, decomp):
+def test_periodicity_of_a_non_real_state(k2, decomp):
+    """(e_0 + i e_1)/sqrt(2) on K2 returns at pi, as P(t) = sum of
+    exp(it(theta_r - theta_s)) E_r P E_s holds for any state; transfer
+    detection stays real-only."""
     complex_state = density_matrix(0.5 * np.array([[1, -1j], [1j, 1]]))
+    assert not complex_state.real
+    report = detect_periodicity(complex_state, decomp(k2))
+    assert report.verdict == "yes"
+    assert abs(report.witness_time - math.pi) <= 1e-12
+    assert report.residual <= 1e-12
     with pytest.raises(ValueError, match="real"):
-        detect_periodicity(complex_state, decomp(k2))
+        detect_pst(complex_state, decomp(k2))
 
 
 # -- perfect state transfer ------------------------------------------------------
@@ -276,7 +284,7 @@ def test_pgst_candidates_cap(decomp):
     p = vertex_state(7, 0)
     with pytest.raises(EnumerationCapExceeded) as err:
         pgst_candidates(block_decompose(p, d))
-    assert err.value.count == 2**21
+    assert err.value.pairs == 21
 
 
 def test_pgst_cap_message_names_the_pair_count():
@@ -285,9 +293,7 @@ def test_pgst_cap_message_names_the_pair_count():
     an int to str."""
     err = EnumerationCapExceeded(20000)
     assert str(err) == "would enumerate 2^20000 sign patterns (20000 off-diagonal pairs)"
-    assert err.count == 2**20000
-    with pytest.raises(ValueError):
-        str(err.count)
+    assert err.pairs == 20000
 
 
 def test_pgst_witness_search_k2(k2, decomp):
@@ -486,6 +492,17 @@ def test_bounds_star_center(k13, decomp):
     assert bounds.ecc_plus_one == 2
     assert bounds.support_size == 2
     assert bounds.consistent
+
+
+def test_vertex_checks_reuse_the_given_blocks(p3, c4, k13, oriented_c3, decomp):
+    """Local mixing and the bounds read the vertex support off the block mask
+    of e_a; handed that block decomposition, they report the same."""
+    for x, a in ((p3, 0), (p3, 1), (c4, 0), (k13, 0), (k13, 1), (oriented_c3, 0)):
+        d = decomp(x)
+        b = block_decompose(vertex_state(x.n, a), d)
+        for fn, kw in ((detect_local_uniform_mixing, {"t_max": 5.0}), (periodic_vertex_bounds, {})):
+            args = (d, a) if fn is detect_local_uniform_mixing else (x, d, a)
+            assert fn(*args, blocks=b, **kw) == fn(*args, **kw), (x, a, fn.__name__)
 
 
 def test_bounds_require_connected(k2_union_p3, decomp):
