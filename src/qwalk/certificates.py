@@ -139,8 +139,7 @@ class RatioConditionAmbiguous:
 def _spanning_forest(pairs, m: int) -> list[int]:
     """Indices of the pairs, taken in order, that join two components of the
     graph on m groups that the earlier ones span (union-find): a spanning
-    forest of the support graph.  Stops once the forest connects every group
-    that the pairs touch."""
+    forest of the support graph."""
     parent = list(range(m))
 
     def root(x):
@@ -149,15 +148,12 @@ def _spanning_forest(pairs, m: int) -> list[int]:
             x = parent[x]
         return x
 
-    touched = len({g for pair in pairs for g in pair})
     forest = []
     for i, (r, s) in enumerate(pairs):
         a, b = root(r), root(s)
         if a != b:
             parent[a] = b
             forest.append(i)
-            if len(forest) == touched - 1:
-                break
     return forest
 
 
