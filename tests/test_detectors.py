@@ -500,9 +500,9 @@ def test_vertex_checks_reuse_the_given_blocks(p3, c4, k13, oriented_c3, decomp):
     for x, a in ((p3, 0), (p3, 1), (c4, 0), (k13, 0), (k13, 1), (oriented_c3, 0)):
         d = decomp(x)
         b = block_decompose(vertex_state(x.n, a), d)
-        for fn, kw in ((detect_local_uniform_mixing, {"t_max": 5.0}), (periodic_vertex_bounds, {})):
-            args = (d, a) if fn is detect_local_uniform_mixing else (x, d, a)
-            assert fn(*args, blocks=b, **kw) == fn(*args, **kw), (x, a, fn.__name__)
+        mixing = detect_local_uniform_mixing(d, a, t_max=5.0, blocks=b)
+        assert mixing == detect_local_uniform_mixing(d, a, t_max=5.0), (x, a)
+        assert periodic_vertex_bounds(x, d, a, blocks=b) == periodic_vertex_bounds(x, d, a), (x, a)
 
 
 def test_bounds_require_connected(k2_union_p3, decomp):
