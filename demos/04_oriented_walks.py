@@ -17,12 +17,12 @@ from qwalk import (
     decompose_oriented,
     dense_expm,
     detect_periodicity,
-    graph_stats,
     natural_orientation,
     periodic_vertex_bounds,
     skew_adjacency,
     vertex_state,
 )
+from qwalk.graphs import max_valency
 
 oc3 = OrientedGraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 s = skew_adjacency(oc3)
@@ -30,7 +30,7 @@ print("skew adjacency of the oriented triangle:")
 print(s)
 
 d = decompose_oriented(oc3)
-print("\neigenvalues of -iS:", np.round(d.theta, 9), " (bounded by max valency", graph_stats(oc3).max_valency, ")")
+print("\neigenvalues of -iS:", np.round(d.theta, 9), " (bounded by max valency", max_valency(oc3), ")")
 
 report = detect_periodicity(vertex_state(3, 0), d)
 sigma = report.witness_time

@@ -38,13 +38,11 @@ from .detectors import (
 from .graphs import (
     Graph,
     GraphParseError,
-    GraphStats,
     OrientedGraph,
     bipartition,
     complete_graph,
     cycle_graph,
     disjoint_union,
-    graph_stats,
     natural_orientation,
     parse_graph,
     parse_oriented_graph,

@@ -121,12 +121,9 @@ def _sniff_format(text: str, oriented: bool) -> str:
 def _load_graph(source: str, cfg: RunConfig) -> Graph | OrientedGraph:
     text = _read_input(source)
     fmt = cfg.fmt or _sniff_format(text, cfg.oriented)
-    try:
-        if cfg.oriented:
-            return parse_oriented_graph(text, fmt)
-        return parse_graph(text, fmt)
-    except GraphParseError as exc:
-        raise InputError(str(exc)) from None
+    if cfg.oriented:
+        return parse_oriented_graph(text, fmt)
+    return parse_graph(text, fmt)
 
 
 def _decompose(x: Graph | OrientedGraph, cfg: RunConfig):
@@ -235,7 +232,6 @@ def cmd_analyze(args) -> int:
             flat_tol=cfg.flat_tol,
             cert_tol=cfg.cert_tol,
             max_den=cfg.max_den,
-            oriented=cfg.oriented,
             blocks=blocks,
         ).to_json()
         try:
@@ -562,10 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (StateError, GraphParseError) as exc:
+    except (InputError, StateError, GraphParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, np.linalg.LinAlgError, EnumerationCapExceeded) as exc:

@@ -512,7 +512,6 @@ def detect_local_uniform_mixing(
     grid_points: int = DEFAULT_MIXING_GRID,
     cert_tol: float = DEFAULT_CERT_TOL,
     max_den: int = DEFAULT_MAX_DEN,
-    oriented: bool | None = None,
     blocks: BlockDecomposition | None = None,
 ) -> DetectionReport:
     """Does the walk ever spread vertex a uniformly over all vertices?
@@ -526,13 +525,12 @@ def detect_local_uniform_mixing(
     max-entry probability defect of U(t) e_a, whose slope is at most
     Delta H(e_a) (sqrt(deg a) on a graph), for a flat time (`_mixing_report`).
 
-    With `oriented=None` the walk counts as oriented iff its source matrix
-    is exactly -iS for a nonzero real S: purely imaginary, as
-    `decompose_oriented` builds it.  A complex Hermitian source with real
-    entries (a graph with complex weights) is not oriented.
+    The walk counts as oriented iff its source matrix is exactly -iS for a
+    nonzero real S: purely imaginary, as `decompose_oriented` builds it.  A
+    complex Hermitian source with real entries (a graph with complex
+    weights) is not oriented.
     """
-    if oriented is None:
-        oriented = _is_oriented(d)
+    oriented = _is_oriented(d)
     warnings = []
     b = blocks if blocks is not None else block_decompose(vertex_state(d.n, a), d)
     support = b.off_diagonal_pairs()

@@ -35,35 +35,49 @@ class GraphParseError(ValueError):
         self.line = line
 
 
+def _check_pairs(n: int, pairs, oriented: bool, locate=None) -> frozenset[tuple[int, int]]:
+    """The pair set of a graph on 0..n-1, validated in one pass.
+
+    Rejects a negative n, an endpoint outside 0..n-1, a loop, and a second
+    pair on one vertex pair: for a graph (u, v) and (v, u) are one edge, for
+    an oriented graph they are both orientations.  A graph keeps its pairs as
+    (u, v) with u < v, an oriented graph its arcs as given.  `locate(i)`, when
+    given, names where pair i came from ("line 3", "edge #2") in the error.
+    """
+    noun = "arc" if oriented else "edge"
+    if n < 0:
+        raise GraphParseError("vertex count must be nonnegative")
+    kept = {}  # (min, max) -> the pair as given
+    for i, (u, v) in enumerate(pairs):
+        u, v = int(u), int(v)
+        key = (u, v) if u < v else (v, u)
+        if key[0] < 0 or key[1] >= n:
+            bound = "< 0" if key[0] < 0 else f">= n={n}"
+            problem = f"{noun} ({u},{v}) out of range: vertex index {bound}"
+        elif u == v:
+            problem = f"loop at vertex {u}"
+        elif key not in kept:
+            kept[key] = (u, v)
+            continue
+        elif oriented and kept[key] != (u, v):
+            problem = f"second arc between {u} and {v} (both orientations)"
+        else:
+            problem = f"duplicate {noun} ({u},{v})"
+        raise GraphParseError(problem if locate is None else f"{locate(i)}: {problem}")
+    return frozenset(kept.values() if oriented else kept)
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1; build it with `from_edges`."""
 
     n: int
     edges: frozenset[tuple[int, int]]
     labels: tuple[int, ...] | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) not canonical or out of range")
-
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None) -> "Graph":
-        canonical = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in canonical:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            canonical.add(pair)
-        return cls(n, frozenset(canonical), None if labels is None else tuple(labels))
+    def from_edges(cls, n: int, edges, labels=None, locate=None) -> "Graph":
+        return cls(n, _check_pairs(n, edges, False, locate), None if labels is None else tuple(labels))
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.int64)
@@ -75,32 +89,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class OrientedGraph:
-    """Oriented graph: at most one arc per vertex pair, no loops."""
+    """Oriented graph: at most one arc per vertex pair, no loops; build it with `from_arcs`."""
 
     n: int
     arcs: frozenset[tuple[int, int]]
     labels: tuple[int, ...] | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        seen = set()
-        for u, v in self.arcs:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"arc ({u},{v}) out of range")
-            pair = frozenset((u, v))
-            if pair in seen:
-                raise ValueError(f"both orientations present between {u} and {v}")
-            seen.add(pair)
-
     @classmethod
-    def from_arcs(cls, n: int, arcs, labels=None) -> "OrientedGraph":
-        collected = []
-        for u, v in arcs:
-            collected.append((int(u), int(v)))
-        if len(set(collected)) != len(collected):
-            raise ValueError("duplicate arc")
-        return cls(n, frozenset(collected), None if labels is None else tuple(labels))
+    def from_arcs(cls, n: int, arcs, labels=None, locate=None) -> "OrientedGraph":
+        return cls(n, _check_pairs(n, arcs, True, locate), None if labels is None else tuple(labels))
 
     def underlying(self) -> Graph:
         return Graph.from_edges(self.n, self.arcs)
@@ -127,17 +124,20 @@ def _as_text(data) -> str:
     return str(data)
 
 
-def _parse_pair_lines(text: str):
-    """Yield (line_no, u, v) for every non-comment line plus an optional n hint."""
-    n_hint = None
-    pairs = []
+def _from_pair_lines(text: str, oriented: bool) -> Graph | OrientedGraph:
+    """A graph, or an oriented graph, from 'u v' lines with '#' comments.
+
+    A '# n=k' comment fixes the vertex count and the labels are the vertices;
+    without one, labels that are not 0..n-1 are remapped to it in sorted
+    order and kept on the object.
+    """
+    n, line_nos, pairs = None, [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)
-        comment = line[1] if len(line) > 1 else ""
-        body = line[0].strip()
-        if comment.strip().startswith("n="):
+        body, _, comment = raw.partition("#")
+        body, comment = body.strip(), comment.strip()
+        if comment.startswith("n="):
             try:
-                n_hint = int(comment.strip()[2:])
+                n = int(comment[2:])
             except ValueError:
                 raise GraphParseError("malformed n= hint", line=line_no) from None
         if not body:
@@ -151,68 +151,60 @@ def _parse_pair_lines(text: str):
             raise GraphParseError(f"non-integer vertex in {body!r}", line=line_no) from None
         if u < 0 or v < 0:
             raise GraphParseError("negative vertex label", line=line_no)
-        pairs.append((line_no, u, v))
-    return n_hint, pairs
+        line_nos.append(line_no)
+        pairs.append((u, v))
+    labels = None
+    if n is None:
+        found = sorted({w for pair in pairs for w in pair})
+        n = len(found)
+        if found and found[-1] != n - 1:
+            labels = tuple(found)
+            index = {label: i for i, label in enumerate(found)}
+            pairs = [(index[u], index[v]) for u, v in pairs]
+    build = OrientedGraph.from_arcs if oriented else Graph.from_edges
+    return build(n, pairs, labels, locate=lambda i: f"line {line_nos[i]}")
 
 
-def _dense_relabel(n_hint, pairs):
-    """Map arbitrary labels to 0..n-1; returns (n, label tuple or None, mapping)."""
-    labels = sorted({u for _, u, v in pairs} | {v for _, u, v in pairs})
-    max_label = labels[-1] if labels else -1
-    if n_hint is not None:
-        if max_label >= n_hint:
-            bad = next(ln for ln, u, v in pairs if max(u, v) >= n_hint)
-            raise GraphParseError(f"vertex index >= n={n_hint}", line=bad)
-        return n_hint, None, {i: i for i in range(n_hint)}
-    if labels == list(range(len(labels))):
-        return len(labels), None, {i: i for i in range(len(labels))}
-    mapping = {lab: i for i, lab in enumerate(labels)}
-    return len(labels), tuple(labels), mapping
+def _from_json(text: str, oriented: bool) -> Graph | OrientedGraph:
+    """A graph from {"n": n, "edges": [[u, v], ...]}, or an oriented graph
+    from {"n": n, "arcs": ...}; n and the endpoints are ints, not bools."""
+    noun = "arc" if oriented else "edge"
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get(f"{noun}s"), list):
+        raise GraphParseError(f'expected {{"n": int, "{noun}s": [[u,v],...]}}')
+    n = doc["n"]
+    if type(n) is not int or n < 0:
+        raise GraphParseError("n must be a nonnegative integer")
+    pairs = doc[f"{noun}s"]
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise GraphParseError(f"{noun} #{i} is not a pair")
+        if not all(type(w) is int for w in pair):
+            raise GraphParseError(f"{noun} #{i} has non-integer endpoints")
+    build = OrientedGraph.from_arcs if oriented else Graph.from_edges
+    return build(n, pairs, locate=lambda i: f"{noun} #{i}")
 
 
 def parse_graph(text, fmt: str = EDGE_LIST) -> Graph:
     """Parse an undirected graph from edge-list, graph6, or JSON text."""
     if fmt == EDGE_LIST:
-        n_hint, pairs = _parse_pair_lines(_as_text(text))
-        n, labels, mapping = _dense_relabel(n_hint, pairs)
-        seen = set()
-        edges = []
-        for line_no, u, v in pairs:
-            u, v = mapping[u], mapping[v]
-            if u == v:
-                raise GraphParseError(f"loop at vertex {u}", line=line_no)
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise GraphParseError(f"duplicate edge {pair}", line=line_no)
-            seen.add(pair)
-            edges.append(pair)
-        return Graph.from_edges(n, edges, labels=labels)
+        return _from_pair_lines(_as_text(text), oriented=False)
     if fmt == GRAPH6:
         return _graph6_decode(_as_text(text).strip())
     if fmt == JSON_FORMAT:
-        return _graph_from_json(_as_text(text))
+        return _from_json(_as_text(text), oriented=False)
     raise GraphParseError(f"unknown graph format {fmt!r}")
 
 
 def parse_oriented_graph(text, fmt: str = ARC_LIST) -> OrientedGraph:
     """Parse an oriented graph from arc-list or JSON text (u v means u->v)."""
     if fmt == ARC_LIST:
-        n_hint, pairs = _parse_pair_lines(_as_text(text))
-        n, labels, mapping = _dense_relabel(n_hint, pairs)
-        arcs = []
-        seen_pairs = set()
-        for line_no, u, v in pairs:
-            u, v = mapping[u], mapping[v]
-            if u == v:
-                raise GraphParseError(f"loop at vertex {u}", line=line_no)
-            key = frozenset((u, v))
-            if key in seen_pairs:
-                raise GraphParseError(f"second arc between {u} and {v}", line=line_no)
-            seen_pairs.add(key)
-            arcs.append((u, v))
-        return OrientedGraph.from_arcs(n, arcs, labels=labels)
+        return _from_pair_lines(_as_text(text), oriented=True)
     if fmt == JSON_FORMAT:
-        return _oriented_from_json(_as_text(text))
+        return _from_json(_as_text(text), oriented=True)
     raise GraphParseError(f"unknown oriented-graph format {fmt!r}")
 
 
@@ -236,58 +228,6 @@ def serialize_oriented_graph(x: OrientedGraph, fmt: str = ARC_LIST) -> str:
     if fmt == JSON_FORMAT:
         return json.dumps({"n": x.n, "arcs": [list(a) for a in sorted(x.arcs)]}, sort_keys=True)
     raise GraphParseError(f"unknown oriented-graph format {fmt!r}")
-
-
-def _graph_from_json(text: str) -> Graph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise GraphParseError('expected {"n": int, "edges": [[u,v],...]}')
-    n = doc["n"]
-    if not isinstance(n, int) or n < 0:
-        raise GraphParseError("n must be a nonnegative integer")
-    edges = []
-    for i, e in enumerate(doc["edges"]):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise GraphParseError(f"edge #{i} is not a pair")
-        u, v = e
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise GraphParseError(f"edge #{i} has non-integer endpoints")
-        if u >= n or v >= n or u < 0 or v < 0:
-            raise GraphParseError(f"edge #{i}: vertex index out of range 0..{n - 1}")
-        edges.append((u, v))
-    try:
-        return Graph.from_edges(n, edges)
-    except ValueError as exc:
-        raise GraphParseError(str(exc)) from None
-
-
-def _oriented_from_json(text: str) -> OrientedGraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "n" not in doc or "arcs" not in doc:
-        raise GraphParseError('expected {"n": int, "arcs": [[u,v],...]}')
-    n = doc["n"]
-    if not isinstance(n, int) or n < 0:
-        raise GraphParseError("n must be a nonnegative integer")
-    arcs = []
-    for i, a in enumerate(doc["arcs"]):
-        if not (isinstance(a, list) and len(a) == 2):
-            raise GraphParseError(f"arc #{i} is not a pair")
-        u, v = a
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise GraphParseError(f"arc #{i} has non-integer endpoints")
-        if u >= n or v >= n or u < 0 or v < 0:
-            raise GraphParseError(f"arc #{i}: vertex index out of range 0..{n - 1}")
-        arcs.append((u, v))
-    try:
-        return OrientedGraph.from_arcs(n, arcs)
-    except ValueError as exc:
-        raise GraphParseError(str(exc)) from None
 
 
 # -- graph6 codec (printable-ASCII encoding, single-byte length, n <= 62) ----
@@ -342,7 +282,7 @@ def _graph6_decode(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# -- orientation and combinatorial statistics --------------------------------
+# -- orientation, valency and eccentricity -----------------------------------
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -351,10 +291,7 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     Within each connected component the lowest-index vertex lands in part 0.
     """
     color = [-1] * g.n
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _neighbours(g)
     for start in range(g.n):
         if color[start] != -1:
             continue
@@ -393,18 +330,10 @@ def natural_orientation(g: Graph, parts: tuple[tuple[int, ...], tuple[int, ...]]
     return OrientedGraph.from_arcs(g.n, arcs)
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    max_valency: int
-    connected: bool
-    eccentricity: tuple[int, ...] | None  # None when disconnected
-
-
 def _neighbours(x: Graph | OrientedGraph) -> list[list[int]]:
     """Adjacency lists of the underlying undirected graph."""
-    g = x.underlying() if isinstance(x, OrientedGraph) else x
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    adj = [[] for _ in range(x.n)]
+    for u, v in x.arcs if isinstance(x, OrientedGraph) else x.edges:
         adj[u].append(v)
         adj[v].append(u)
     return adj
@@ -422,23 +351,6 @@ def _eccentricity(adj: list[list[int]], start: int) -> int | None:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return max(dist) if min(dist) >= 0 else None
-
-
-def graph_stats(x: Graph | OrientedGraph) -> GraphStats:
-    """Maximum (total) valency, connectivity, and per-vertex eccentricity.
-
-    Oriented graphs are measured on their underlying undirected graph;
-    eccentricities are undefined (None) for disconnected inputs.
-    """
-    adj = _neighbours(x)
-    valency = max(map(len, adj), default=0)
-    ecc = []
-    for start in range(len(adj)):
-        e = _eccentricity(adj, start)
-        if e is None:
-            return GraphStats(valency, False, None)
-        ecc.append(e)
-    return GraphStats(valency, True, tuple(ecc))
 
 
 def max_valency(x: Graph | OrientedGraph) -> int:

@@ -35,6 +35,12 @@ def max_n() -> int:
     raise ValueError(f"QWALK_MAX_N must be a positive integer, got {raw!r}")
 
 
+def _check_size(n: int) -> None:
+    cap = max_n()
+    if n > cap:
+        raise ValueError(f"matrix size {n} exceeds cap {cap} (set QWALK_MAX_N to raise)")
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Distinct eigenvalues (decreasing) with their grouped orthonormal eigenvectors.
@@ -131,9 +137,7 @@ def spectral_decompose(h: np.ndarray, tol: float = DEFAULT_GROUPING_TOL) -> Spec
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     n = h.shape[0]
-    cap = max_n()
-    if n > cap:
-        raise ValueError(f"matrix size {n} exceeds cap {cap} (set QWALK_MAX_N to raise)")
+    _check_size(n)
     scale = max(1.0, float(np.linalg.norm(h, 2))) if n else 1.0
     herm_defect = float(np.linalg.norm(h - h.conj().T))
     if herm_defect > tol * scale:
@@ -178,11 +182,13 @@ def spectral_decompose(h: np.ndarray, tol: float = DEFAULT_GROUPING_TOL) -> Spec
 
 def decompose_graph(g: Graph, tol: float = DEFAULT_GROUPING_TOL) -> SpectralDecomposition:
     """Decompose the adjacency matrix of an undirected graph."""
+    _check_size(g.n)  # before any n x n matrix is built
     return spectral_decompose(g.adjacency().astype(float), tol)
 
 
 def decompose_oriented(x: OrientedGraph, tol: float = DEFAULT_GROUPING_TOL) -> SpectralDecomposition:
     """Decompose -iS for an oriented graph; exp(tS) = exp(it(-iS)) downstream."""
+    _check_size(x.n)  # before any n x n matrix is built
     return spectral_decompose(-1j * skew_adjacency(x), tol)
 
 

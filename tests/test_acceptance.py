@@ -27,7 +27,6 @@ from qwalk import (
     detect_pst,
     detect_uniform_mixing,
     evolve_dense,
-    graph_stats,
     natural_orientation,
     path_graph,
     pgst_candidates,
@@ -44,7 +43,7 @@ from qwalk import (
     vertex_spectral_relation,
     vertex_state,
 )
-from qwalk.graphs import Graph, OrientedGraph
+from qwalk.graphs import Graph, OrientedGraph, eccentricity, max_valency
 
 nx = pytest.importorskip("networkx")
 
@@ -113,8 +112,7 @@ class GraphRecord:
 def _sweep_graph(g: Graph) -> GraphRecord:
     d = decompose_graph(g)
     h = np.asarray(d.source)
-    stats = graph_stats(g)
-    rec = GraphRecord(g, d, stats.connected)
+    rec = GraphRecord(g, d, eccentricity(g, 0) is not None)
     for a in _vertex_orbits(g):
         state = vertex_state(g.n, a)
         per = detect_periodicity(state, d)
@@ -136,7 +134,7 @@ def _sweep_graph(g: Graph) -> GraphRecord:
                 oracle_return=oracle_ret,
                 oracle_flat=oracle_flat,
                 mixing=mixing,
-                ecc_plus_one=stats.eccentricity[a] + 1 if stats.connected else None,
+                ecc_plus_one=eccentricity(g, a) + 1 if rec.connected else None,
                 support_size=int(block_decompose(state, d).support.diagonal().sum()),
             )
         )
@@ -321,7 +319,7 @@ def test_criterion_08_oriented_graphs(rng):
         n = int(rng.integers(2, 9))
         x = random_orientation(rng, random_graph(rng, n))
         d = decompose_oriented(x)
-        bound = graph_stats(x).max_valency
+        bound = max_valency(x)
         assert np.abs(d.theta).max() <= bound + 1e-9
         for r, theta in enumerate(d.theta):
             partner = int(np.argmin(np.abs(d.theta + theta)))
@@ -363,13 +361,13 @@ def test_criterion_09_counting_bounds(atlas_sweep, rng):
     for _ in range(20):
         n = int(rng.integers(2, 8))
         g = random_graph(rng, n)
-        if graph_stats(g).connected:
+        if eccentricity(g, 0) is not None:
             oriented.append(random_orientation(rng, g))
     for x in oriented:
-        if not graph_stats(x).connected:
+        if eccentricity(x, 0) is None:
             continue
         d = decompose_oriented(x)
-        upper = 2 * graph_stats(x).max_valency + 1
+        upper = 2 * max_valency(x) + 1
         for a in range(x.n):
             per = detect_periodicity(vertex_state(x.n, a), d)
             if per.verdict == "yes" and per.certificate is not None:

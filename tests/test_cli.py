@@ -8,12 +8,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 import qwalk.cli
+from qwalk import GraphParseError, decompose_graph, decompose_oriented, parse_graph, parse_oriented_graph
 from qwalk.cli import main
 
 
@@ -265,6 +267,67 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+_CAP = "matrix size 100000 exceeds cap 512"
+# (name, text, message, exit code) per input form, with {} for "edge" or
+# "arc"; exit 2 is a GraphParseError, exit 1 the size cap's ValueError
+_LINE_CASES = [
+    ("malformed line", "0 1 2\n", "line 1: expected 'u v'", 2),
+    ("non-integer", "0 1\n0 x\n", "line 2: non-integer vertex", 2),
+    ("negative label", "0 1\n-1 2\n", "line 2: negative vertex label", 2),
+    ("loop", "0 1\n2 2\n", "line 2: loop at vertex 2", 2),
+    ("out of range", "# n=2\n0 1\n0 5\n", "line 3: {} (0,5) out of range: vertex index >= n=2", 2),
+    ("n overflow", "# n=100000\n0 1\n", _CAP, 1),
+]
+_JSON_CASES = [
+    ("malformed line", '{"n": 2', "invalid JSON", 2),
+    ("not a pair", '{"n": 3, "{}s": [[0, 1, 2]]}', "{} #0 is not a pair", 2),
+    ("non-integer", '{"n": 2, "{}s": [[0, 1.5]]}', "{} #0 has non-integer endpoints", 2),
+    ("negative label", '{"n": 2, "{}s": [[0, -1]]}', "{} #0: {} (0,-1) out of range: vertex index < 0", 2),
+    ("loop", '{"n": 2, "{}s": [[0, 1], [1, 1]]}', "{} #1: loop at vertex 1", 2),
+    ("out of range", '{"n": 2, "{}s": [[0, 2]]}', "{} #0: {} (0,2) out of range: vertex index >= n=2", 2),
+    ("n overflow", '{"n": 100000, "{}s": []}', _CAP, 1),
+    ("bool n", '{"n": true, "{}s": []}', "n must be a nonnegative integer", 2),
+    ("bool endpoint", '{"n": 2, "{}s": [[0, true]]}', "{} #0 has non-integer endpoints", 2),
+]
+BOUNDARY_CASES = [
+    *[("edge-list", False, *case) for case in _LINE_CASES],
+    ("edge-list", False, "duplicate", "0 1\n1 0\n", "line 2: duplicate edge (1,0)", 2),
+    *[("arc-list", True, *case) for case in _LINE_CASES],
+    ("arc-list", True, "duplicate", "0 1\n0 1\n", "line 2: duplicate arc (0,1)", 2),
+    ("arc-list", True, "both orientations", "0 1\n1 0\n", "line 2: second arc between 1 and 0", 2),
+    *[("json", False, *case) for case in _JSON_CASES],
+    ("json", False, "duplicate", '{"n": 2, "edges": [[0, 1], [1, 0]]}', "edge #1: duplicate edge (1,0)", 2),
+    *[("json", True, *case) for case in _JSON_CASES],
+    ("json", True, "duplicate", '{"n": 2, "arcs": [[0, 1], [0, 1]]}', "arc #1: duplicate arc (0,1)", 2),
+    ("json", True, "both orientations", '{"n": 2, "arcs": [[0, 1], [1, 0]]}', "arc #1: second arc between 1 and 0", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, oriented, name, text, message, exit_code",
+    BOUNDARY_CASES,
+    ids=[f"{fmt}{'-oriented' if oriented else ''}-{name}" for fmt, oriented, name, *_ in BOUNDARY_CASES],
+)
+def test_invalid_graph_input_table(capsys, monkeypatch, tmp_path, fmt, oriented, name, text, message, exit_code):
+    """Each invalid input raises one exception with one message from the
+    library, and the CLI prints that message on one line with its exit code:
+    2 for an input error, 1 for a graph over the size cap."""
+    monkeypatch.delenv("QWALK_MAX_N", raising=False)
+    noun = "arc" if oriented else "edge"
+    text, message = text.replace("{}", noun), message.replace("{}", noun)
+    parse, decompose = (parse_oriented_graph, decompose_oriented) if oriented else (parse_graph, decompose_graph)
+    with pytest.raises(ValueError) as raised:
+        decompose(parse(text, fmt))
+    assert type(raised.value) is (GraphParseError if exit_code == 2 else ValueError)
+    assert message in str(raised.value)
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "spectra", str(path), "--format", fmt, *(["--oriented"] if oriented else []))
+    prefix = "input error: " if exit_code == 2 else "error: "
+    assert code == exit_code and out == ""
+    assert err.startswith(prefix) and message in err and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -332,6 +395,36 @@ def test_out_of_memory_in_a_capped_child_is_a_one_line_failure(k2_file):
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_size_cap_is_read_before_the_matrix_is_built(tmp_path):
+    """A `# n=100000` edge list would need 74.5 GiB for its int64 adjacency
+    alone; under a 1 GiB address-space cap the CLI exits 1 with the cap
+    message, fast, because the cap is read before any n x n matrix."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalk.cli.__file__)))
+    path = tmp_path / "big.txt"
+    path.write_text("# n=100000\n0 1\n")
+    capped = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from qwalk.cli import entry_point; entry_point()"
+    )
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-c", capped, "spectra", str(path)],
+        env={
+            **{k: v for k, v in os.environ.items() if k != "QWALK_MAX_N"},
+            "PYTHONPATH": src,
+            "OPENBLAS_NUM_THREADS": "1",
+        },
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.monotonic() - start
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: matrix size 100000 exceeds cap 512 (set QWALK_MAX_N to raise)\n"
+    assert elapsed < 5.0, elapsed
 
 
 def test_analyze_p24_end_vertex_is_controllable(capsys, tmp_path):

@@ -415,10 +415,15 @@ def test_oriented_inference_needs_a_purely_imaginary_source(oriented_c3, decomp)
         "necessary-condition check: ratio condition fails; "
         "advisory (complex Hermitian walk, not oriented)"
     ) in report.warnings
-    assert report == detect_local_uniform_mixing(flux, 0, oriented=False)
-    d = decomp(oriented_c3)
-    assert qwalk.detectors._is_oriented(d)
-    assert detect_local_uniform_mixing(d, 0) == detect_local_uniform_mixing(d, 0, oriented=True)
+    # the kind comes from the source alone: -iS for the directed path 0->1->2->3,
+    # a real adjacency for P4, and both fail the ratio condition at vertex 0
+    for source, kind in (
+        (OrientedGraph.from_arcs(4, [(0, 1), (1, 2), (2, 3)]), "hard necessary condition (oriented walk)"),
+        (path_graph(4), "advisory for plain graphs"),
+    ):
+        report = detect_local_uniform_mixing(decomp(source), 0, t_max=2.0)
+        assert f"necessary-condition check: ratio condition fails; {kind}" in report.warnings
+    assert qwalk.detectors._is_oriented(decomp(oriented_c3))
 
 
 def test_mixing_verdicts_match_the_oracle_on_random_orientations():

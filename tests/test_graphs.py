@@ -1,4 +1,4 @@
-"""Graph model: parsing, serialization, orientation, combinatorial stats."""
+"""Graph model: parsing, serialization, orientation, valency and eccentricity."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from qwalk import (
     OrientedGraph,
     bipartition,
     cycle_graph,
-    graph_stats,
     natural_orientation,
     parse_graph,
     parse_oriented_graph,
@@ -114,11 +113,25 @@ def graphs(draw, max_n=9):
     return Graph.from_edges(n, [p for p, keep in zip(pairs, mask) if keep])
 
 
+@st.composite
+def oriented_graphs(draw, max_n=9):
+    g = draw(graphs(max_n))
+    flips = draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges)))
+    arcs = [(v, u) if flip else (u, v) for (u, v), flip in zip(sorted(g.edges), flips)]
+    return OrientedGraph.from_arcs(g.n, arcs)
+
+
 @settings(max_examples=40, deadline=None)
-@given(graphs())
-def test_roundtrip_every_format(g):
+@given(graphs(), oriented_graphs())
+def test_roundtrip_every_format(g, x):
+    """Serialize, then parse, in every format of each kind: the same vertex
+    count, the same pairs and the same (absent) labels."""
     for fmt in ("edge-list", "graph6", "json"):
-        assert parse_graph(serialize_graph(g, fmt=fmt), fmt=fmt) == g
+        back = parse_graph(serialize_graph(g, fmt=fmt), fmt=fmt)
+        assert (back.n, back.edges, back.labels) == (g.n, g.edges, g.labels)
+    for fmt in ("arc-list", "json"):
+        back = parse_oriented_graph(serialize_oriented_graph(x, fmt=fmt), fmt=fmt)
+        assert (back.n, back.arcs, back.labels) == (x.n, x.arcs, x.labels)
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,7 +205,7 @@ def test_natural_orientation_rejects_bad_parts(c3):
         natural_orientation(c3, ((0,), (1, 2)))
 
 
-# -- bipartition and stats ----------------------------------------------------
+# -- bipartition, valency and eccentricity ------------------------------------
 
 
 def test_bipartition_c4(c4):
@@ -208,32 +221,27 @@ def test_bipartition_p3(p3):
 
 
 def test_stats_star(k13):
-    stats = graph_stats(k13)
-    assert stats.max_valency == 3
-    assert stats.connected
-    assert stats.eccentricity[0] == 1 and stats.eccentricity[1] == 2
+    assert max_valency(k13) == 3
+    assert eccentricity(k13, 0) == 1 and eccentricity(k13, 1) == 2
 
 
 def test_stats_path(p3):
-    stats = graph_stats(p3)
-    assert stats.max_valency == 2 and stats.eccentricity[0] == 2
+    assert max_valency(p3) == 2 and eccentricity(p3, 0) == 2
 
 
 def test_stats_oriented_triangle(oriented_c3):
-    stats = graph_stats(oriented_c3)
-    assert stats.max_valency == 2 and stats.connected
+    assert max_valency(oriented_c3) == 2 and eccentricity(oriented_c3, 0) == 1
 
 
 def test_stats_disconnected_flags_eccentricity(k2_union_p3):
-    stats = graph_stats(k2_union_p3)
-    assert not stats.connected and stats.eccentricity is None
+    assert all(eccentricity(k2_union_p3, a) is None for a in range(k2_union_p3.n))
 
 
-def test_single_source_stats_match_graph_stats():
+def test_single_source_stats_match_networkx():
     """On every atlas graph on 1-6 vertices, plain and in one seeded
-    orientation, one breadth-first search from each vertex gives the
-    connectivity and eccentricity graph_stats gives, and max_valency its
-    maximum valency."""
+    orientation, one breadth-first search from each vertex gives networkx's
+    eccentricity (None when disconnected), and max_valency its maximum
+    degree, both on the underlying graph."""
     rng = np.random.default_rng(6)
     disconnected = 0
     for ag in nx.graph_atlas_g():
@@ -241,13 +249,13 @@ def test_single_source_stats_match_graph_stats():
         if not 1 <= n <= 6:
             continue
         g = Graph.from_edges(n, [tuple(sorted(e)) for e in ag.edges()])
+        connected = nx.is_connected(ag)
+        ecc = nx.eccentricity(ag) if connected else None
         for x in (g, random_orientation(rng, g)):
-            stats = graph_stats(x)
-            assert max_valency(x) == stats.max_valency
+            assert max_valency(x) == max((deg for _, deg in ag.degree()), default=0)
             for a in range(n):
-                expected = stats.eccentricity[a] if stats.connected else None
-                assert eccentricity(x, a) == expected, (ag.edges(), a)
-            disconnected += not stats.connected
+                assert eccentricity(x, a) == (ecc[a] if connected else None), (ag.edges(), a)
+            disconnected += not connected
     assert disconnected > 100
 
 

@@ -11,7 +11,6 @@ from qwalk import (
     dense_expm,
     decompose_graph,
     decompose_oriented,
-    graph_stats,
     interlacing_check,
     natural_orientation,
     bipartition,
@@ -21,6 +20,7 @@ from qwalk import (
     transition_matrix,
     vertex_spectral_relation,
 )
+from qwalk.graphs import max_valency
 from conftest import random_graph, random_orientation
 
 SQRT2 = np.sqrt(2.0)
@@ -170,7 +170,7 @@ def test_oriented_eigenvalue_bound_random(rng):
         n = int(rng.integers(2, 9))
         x = random_orientation(rng, random_graph(rng, n))
         d = decompose_oriented(x)
-        bound = graph_stats(x).max_valency
+        bound = max_valency(x)
         assert np.abs(d.theta).max() <= bound + 1e-9
 
 
