@@ -55,6 +55,8 @@ def _cases() -> dict[str, tuple[str, tuple[str, ...]]]:
         cases[f"verify_{name}"] = (name, ("verify", *flags, "--state", "vertex:0"))
     cases["analyze_p3_mixed"] = ("p3", ("analyze", "--state", MIXED_P3))
     cases["verify_p3_mixed"] = ("p3", ("verify", "--state", MIXED_P3))
+    # a mixed state has no vector grid: this scan runs the (count, n, n) grid of U(t)
+    cases["scan_return_p3_mixed"] = ("p3", ("scan", "--kind", "return", "--state", MIXED_P3))
     for name, last in (("k2", 1), ("p3", 2)):
         cases[f"scan_return_{name}"] = (name, ("scan", "--kind", "return", "--state", "vertex:0"))
         cases[f"scan_transfer_{name}"] = (
