@@ -113,7 +113,7 @@ def _sniff_format(text: str, oriented: bool) -> str:
     if oriented:
         return ARC_LIST
     first = stripped.splitlines()[0].strip() if stripped else ""
-    if first and not first.startswith("#") and " " not in first:
+    if first and not first.startswith("#") and len(first.split()) == 1:  # graph6 has no whitespace
         return GRAPH6
     return EDGE_LIST
 

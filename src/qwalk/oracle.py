@@ -7,21 +7,22 @@ exponentials only, so scan results are an independent check on everything
 the detectors claim; the shared minimizer (`timescan`) only sees the sampled
 values.  All inputs are plain numpy arrays.
 
-Grids are built by doubling, U((f + j)h) = U(fh) U(jh), one product per
-doubling.  Return and transfer scans between pure states, and the flatness
-scan of one column, evolve one vector: their grid is the (count, n) stack of
-U(t)x, since U(t) is unitary and ||U xx* U* - yy*||_F = sqrt(2) ||Ux - <y, Ux> y||.
-The (count, n, n) stack of U(t) is built only for mixed states and for the
-flatness of all columns.
+Grids are built by doubling, U((f + j)h) = U(jh) U(fh), one matrix product
+per doubling: U(fh) commutes with every U(jh), so the (count, n, n) stack of
+U(t) doubles as its (count*n, n) rows times U(fh).  Return and transfer scans
+between pure states, and the flatness scan of one column, evolve one vector:
+their grid is the (count, n) stack of U(t)x, since U(t) is unitary and
+||U xx* U* - yy*||_F = sqrt(2) ||Ux - <y, Ux> y||.  The (count, n, n) stack of
+U(t) is built only for mixed states and for the flatness of all columns.
 
 A zoom level is U(lo + j dt) x = U(j dt) U(lo) x, j < 65 (U(lo + j dt) with no
-x): one batched product of the ladder U(j dt) with the base U(lo) x.  Every
-zoom step is the grid step times a power of two, so all zooms of one H ask for
-a few ladders, which are built once by doubling and kept for the current H up
-to _LADDER_BYTES.  The base is a fresh exponential at a zoom's first level,
-not an entry of the doubled main grid, whose round-off it would carry into
-every level below; each deeper level takes it from the previous level, of
-which lo is a point.
+x): one product of the ladder's (65*n, n) rows U(j dt) with the base U(lo) x.
+Every zoom step is the grid step times a power of two, so all zooms of one H
+ask for a few ladders, which are built once by doubling and kept for the
+current H up to _LADDER_BYTES.  The base is a fresh exponential at a zoom's
+first level, not an entry of the doubled main grid, whose round-off it would
+carry into every level below; each deeper level takes it from the previous
+level, of which lo is a point.
 """
 
 from __future__ import annotations
@@ -79,20 +80,22 @@ def _build_grid(h: np.ndarray, t0: float, step: float, count: int, x: np.ndarray
     """Stack of U_k = exp(i(t0 + k*step)H) for k = 0..count-1, or of the
     vectors U_k x given x, built by doubling.
 
-    With the first f entries filled, the next min(f, count - f) are
-    U(f*step) @ out[:f], as one batched product, or out[:f] @ U(f*step)^T,
-    one matrix product, for vectors.
+    With the first f entries filled, the next min(f, count - f) are one
+    matrix product of their rows with U(f*step): out[:f] @ U(f*step)^T for
+    vectors, and for matrices the (f*n, n) rows of out[:f] @ U(f*step), since
+    U(f*step) commutes with every U_k.
     """
     n = h.shape[0]
     out = np.empty((count, n, n) if x is None else (count, n), dtype=complex)
     first = _unitary_at(h, t0) if t0 != 0.0 else np.eye(n, dtype=complex)
     out[0] = first if x is None else first @ x
+    rows = out.reshape(-1, n)  # a view: n rows per matrix entry
     filled = 1
     factor = _unitary_at(h, step)
     while filled < count:
         m = min(filled, count - filled)
         if x is None:
-            np.matmul(factor, out[:m], out=out[filled : filled + m])
+            np.matmul(rows[: m * n], factor, out=rows[filled * n : (filled + m) * n])
         else:
             np.matmul(out[:m], factor.T, out=out[filled : filled + m])
         filled += m
@@ -147,12 +150,14 @@ def _zoom_levels(h: np.ndarray, objective, x: np.ndarray | None = None):
     """The refinement callback of one scan: the objective on U(lo + j*step)
     (or on U(lo + j*step) x given x), j < count.
 
-    A level is ladder(step) @ base, one batched product, where the base is
-    U(lo) or U(lo) x.  It comes from a fresh exponential at a zoom's first
-    level.  At a deeper level, whose step is below the previous level's, lo
-    is a point of the previous level, and the base is that level's entry there.
+    A level is ladder(step) @ base, one product of the ladder's (count*n, n)
+    rows with the base, where the base is U(lo) or U(lo) x.  It comes from a
+    fresh exponential at a zoom's first level.  At a deeper level, whose step
+    is below the previous level's, lo is a point of the previous level, and
+    the base is that level's entry there.
     """
-    h_key = (h.tobytes(), h.shape[0])
+    n = h.shape[0]
+    h_key = (h.tobytes(), n)
     parent: tuple = ()  # (lo, step, grid) of the previous level
 
     def level(lo: float, step: float, count: int) -> np.ndarray:
@@ -165,7 +170,7 @@ def _zoom_levels(h: np.ndarray, objective, x: np.ndarray | None = None):
                 base = p_grid[j]
         if base is None:
             base = _unitary_at(h, lo) if x is None else _unitary_at(h, lo) @ x
-        grid = _ladder(h, h_key, step, count) @ base
+        grid = (_ladder(h, h_key, step, count).reshape(-1, n) @ base).reshape((count, *base.shape))
         parent = (lo, step, grid)
         return objective(grid)
 
@@ -238,9 +243,17 @@ def _return_objective(p: np.ndarray, target: np.ndarray):
 
 def _batch_flatness(u: np.ndarray) -> np.ndarray:
     """Largest distance from 1/n of |U(t)_ij|^2 over each entry of the stack:
-    every column of a (k, n, n) stack of U(t), or U(t)e_a of a (k, n) one."""
-    probs = np.abs(u) ** 2
-    return np.abs(probs - 1.0 / u.shape[1]).reshape(len(u), -1).max(axis=1)
+    every column of a (k, n, n) stack of U(t), or U(t)e_a of a (k, n) one.
+
+    The squares fill one (entries, k) array, so that the extremes are taken
+    across entries for all k times at once; max(pmax - 1/n, 1/n - pmin) is
+    the largest |p - 1/n| bit for bit, since rounding is monotone.
+    """
+    k, flat = len(u), 1.0 / u.shape[1]
+    probs = np.empty((u[0].size, k))
+    np.abs(u.reshape(k, -1).T, out=probs)
+    np.square(probs, out=probs)
+    return np.maximum(probs.max(axis=0) - flat, flat - probs.min(axis=0))
 
 
 def _slope_bound(h: np.ndarray) -> float:

@@ -508,6 +508,21 @@ def test_stdin_input(capsys, monkeypatch):
     assert json.loads(out)["n"] == 2
 
 
+def test_sniffing_splits_pairs_on_any_whitespace(capsys, monkeypatch):
+    """A tab-separated P3 reads as the space-separated one; a one-word first
+    line is still graph6."""
+    import io
+
+    spectra = []
+    for text in ("0 1\n1 2\n", "0\t1\n1\t2\n", "Bg\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run_cli(capsys, "spectra", "-")
+        assert code == 0, text
+        spectra.append(json.loads(out))
+    assert spectra[0] == spectra[1] == spectra[2]
+    assert spectra[0]["theta"] == pytest.approx([math.sqrt(2), 0.0, -math.sqrt(2)])
+
+
 def test_verify_keeps_the_diagonal_block_of_a_weak_group(capsys, tmp_path):
     """Vertex 0 of this 9-vertex graph has |x_4|^2 = 3.2e-11 on one group, so
     its diagonal block falls below block_tol while the off-diagonal blocks of

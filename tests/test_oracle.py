@@ -442,3 +442,120 @@ def test_a_vertex_return_and_its_column_share_one_vector_grid(monkeypatch, p3):
     grids = [args for args in builds if args[3] == 5001]
     assert len(grids) == 2 and grids[1][4] is None
     assert qwalk.oracle._last_grid[1].shape == (5001, 3, 3)
+
+
+# -- one-product kernels -----------------------------------------------------------
+
+
+def _batched_grid(h, t0, step, count, x=None):
+    """The doubling with U(f*step) @ out[:f] as one batched product, one small
+    matrix product per entry: the reference the row product must match."""
+    n = h.shape[0]
+    out = np.empty((count, n, n) if x is None else (count, n), dtype=complex)
+    first = dense_expm(1j * t0 * h) if t0 != 0.0 else np.eye(n, dtype=complex)
+    out[0] = first if x is None else first @ x
+    filled = 1
+    factor = dense_expm(1j * step * h)
+    while filled < count:
+        m = min(filled, count - filled)
+        if x is None:
+            np.matmul(factor, out[:m], out=out[filled : filled + m])
+        else:
+            np.matmul(out[:m], factor.T, out=out[filled : filled + m])
+        filled += m
+        if filled < count:
+            resync = filled >= qwalk.oracle._RESYNC_EVERY
+            factor = dense_expm(1j * filled * step * h) if resync else factor @ factor
+    return out
+
+
+def _entrywise_flatness(u):
+    """max |(|u|^2 - 1/n)| over the entries of each stack member, as one array."""
+    return np.abs(np.abs(u) ** 2 - 1.0 / u.shape[1]).reshape(len(u), -1).max(axis=1)
+
+
+def _atlas_hamiltonians(max_n: int, rng):
+    """Every atlas graph on 1..max_n vertices, plain and in one seeded
+    orientation: an oriented H is not symmetric, so U(t)^T != U(t)."""
+    nx = pytest.importorskip("networkx")
+    for ag in nx.graph_atlas_g():
+        n = ag.number_of_nodes()
+        if not 1 <= n <= max_n:
+            continue
+        g = Graph.from_edges(n, [tuple(sorted(e)) for e in ag.edges()])
+        yield g.adjacency().astype(complex)
+        if ag.number_of_edges():
+            yield -1j * skew_adjacency(random_orientation(rng, g))
+
+
+def test_batch_flatness_matches_the_entrywise_formula():
+    """Bit for bit on (k, n, n) stacks of U(t) and (k, n) stacks of U(t)e_a,
+    k = 1 and 65, on a 1x1 H and every atlas graph on at most 6 vertices."""
+    rng = np.random.default_rng(30)
+    checked = 0
+    for h in [np.array([[0.7 + 0j]]), *_atlas_hamiltonians(6, rng)]:
+        grid = qwalk.oracle._build_grid(h, 0.3, 0.11, 65)
+        for u in (grid, grid[:1]):
+            assert np.array_equal(qwalk.oracle._batch_flatness(u), _entrywise_flatness(u))
+            for a in range(h.shape[0]):
+                column = np.ascontiguousarray(u[:, :, a])
+                assert np.array_equal(qwalk.oracle._batch_flatness(column), _entrywise_flatness(column))
+            checked += 1
+    assert checked == 2 * (1 + 208 + 202)
+
+
+def test_zoom_levels_are_the_batched_ladder_product():
+    """A zoom level, first and deeper, equals ladder @ base bit for bit, for
+    the matrix base U(lo) and the vector base U(lo)e_0, on every atlas graph
+    on at most 5 vertices."""
+    rng = np.random.default_rng(31)
+    oracle = qwalk.oracle
+    for h in [np.array([[0.7 + 0j]]), *_atlas_hamiltonians(5, rng)]:
+        key = (h.tobytes(), h.shape[0])
+        for x in (None, np.eye(h.shape[0], dtype=complex)[0]):
+            level = oracle._zoom_levels(h, lambda grid: grid, x)
+            lo, step = 1.3, 2 * 4e-3 / 64
+            first = level(lo, step, 65)
+            base = oracle.dense_expm(1j * lo * h) if x is None else oracle.dense_expm(1j * lo * h) @ x
+            assert np.array_equal(first, oracle._ladder(h, key, step, 65) @ base)
+            deeper = level(lo + 17 * step, step / 32, 65)
+            assert np.array_equal(deeper, oracle._ladder(h, key, step / 32, 65) @ first[17])
+
+
+def test_matrix_grid_matches_fresh_exponentials_at_the_resync_points():
+    """Every entry where the doubling factor changes, and its neighbours,
+    within 1e-12 of a fresh exponential, on a 1x1 H and every atlas graph on
+    at most 5 vertices."""
+    rng = np.random.default_rng(32)
+    t0, step, count = 0.25, 4e-3, 5001
+    points = sorted({0, count - 1} | {k + d for k in (1, 2, 4, 8, 512, 1024, 2048, 4096) for d in (-1, 0)})
+    for h in [np.array([[0.7 + 0j]]), *_atlas_hamiltonians(5, rng)]:
+        grid = qwalk.oracle._build_grid(h, t0, step, count)
+        for k in points:
+            assert np.abs(grid[k] - dense_expm(1j * (t0 + k * step) * h)).max() <= 1e-12, (h, k)
+
+
+def test_row_doubling_matches_the_batched_reference(monkeypatch):
+    """Uniform flatness, on the grid of U(t) and on all its zoom ladders,
+    records as many minima with the row product as with the batched
+    reference, with values and floors within 1e-13 and times within 1e-12
+    (1e-7 where the value is round-off, below 1e-13), on every atlas graph on
+    2-5 vertices with an edge, plain and oriented."""
+    rng = np.random.default_rng(33)
+    scans = 0
+    for h in _atlas_hamiltonians(5, rng):
+        if not h.any():
+            continue
+        fast = scan_uniform_flatness(h, **SWEEP)
+        with monkeypatch.context() as m:
+            m.setattr(qwalk.oracle, "_build_grid", _batched_grid)
+            m.setattr(qwalk.oracle, "_last_grid", ())
+            m.setattr(qwalk.oracle, "_ladders", ())
+            reference = scan_uniform_flatness(h, **SWEEP)
+        assert len(fast.minima) == len(reference.minima), h
+        assert abs(fast.floor - reference.floor) <= 1e-13
+        for (t, v), (t_ref, v_ref) in zip(fast.minima, reference.minima):
+            assert abs(v - v_ref) <= 1e-13
+            assert abs(t - t_ref) <= (1e-12 if v_ref > 1e-13 else 1e-7), (h, t, v)
+        scans += 1
+    assert scans == 94
