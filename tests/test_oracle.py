@@ -470,7 +470,8 @@ def _batched_grid(h, t0, step, count, x=None):
 
 
 def _entrywise_flatness(u):
-    """max |(|u|^2 - 1/n)| over the entries of each stack member, as one array."""
+    """The largest ||u_ij|^2 - 1/n| of each stack member, from the whole
+    array of distances: the reference _batch_flatness must match bit for bit."""
     return np.abs(np.abs(u) ** 2 - 1.0 / u.shape[1]).reshape(len(u), -1).max(axis=1)
 
 
@@ -516,7 +517,7 @@ def test_zoom_levels_are_the_batched_ladder_product():
             level = oracle._zoom_levels(h, lambda grid: grid, x)
             lo, step = 1.3, 2 * 4e-3 / 64
             first = level(lo, step, 65)
-            base = oracle.dense_expm(1j * lo * h) if x is None else oracle.dense_expm(1j * lo * h) @ x
+            base = dense_expm(1j * lo * h) if x is None else dense_expm(1j * lo * h) @ x
             assert np.array_equal(first, oracle._ladder(h, key, step, 65) @ base)
             deeper = level(lo + 17 * step, step / 32, 65)
             assert np.array_equal(deeper, oracle._ladder(h, key, step / 32, 65) @ first[17])
