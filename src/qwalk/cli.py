@@ -1,7 +1,9 @@
 """Command-line surface: parse graphs and states, run the detectors, and emit
 deterministic JSON reports.
 
-Commands: spectra, analyze, verify, evolve, scan, orient.  Exit codes:
+Commands: spectra, analyze, verify, evolve, scan, orient.  Each command
+declares only the options it reads, and each value is checked as it is parsed,
+so an unknown option or a bad value is one `input error:` line.  Exit codes:
 0 success, 1 numerical or detection failure (running out of memory included),
 2 input error.  The environment variable QWALK_MAX_N caps the matrix size
 (default 512); a value that is not a positive integer is an input error.
@@ -12,9 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from .certificates import DEFAULT_CERT_TOL, DEFAULT_MAX_DEN
 from .detectors import (
     DEFAULT_ACCEPT_TOL,
     DEFAULT_FLAT_TOL,
+    DetectionReport,
     EnumerationCapExceeded,
     detect_local_uniform_mixing,
     detect_periodicity,
@@ -74,26 +77,38 @@ class InputError(ValueError):
     """User-supplied input could not be parsed or validated."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tol: float = DEFAULT_GROUPING_TOL
-    cert_tol: float = DEFAULT_CERT_TOL
-    accept_tol: float = DEFAULT_ACCEPT_TOL
-    flat_tol: float = DEFAULT_FLAT_TOL
-    max_den: int = DEFAULT_MAX_DEN
-    t_max: float = 20.0
-    grid_step: float = 1e-3
-    fmt: str | None = None
-    oriented: bool = False
-    emit: tuple[str, ...] = ("report",)
-    seed: int = 0
+class _Parser(argparse.ArgumentParser):
+    """Every parse or value error is an InputError: one `input error:` line
+    and exit 2, where argparse would print its usage first."""
 
-    def __post_init__(self):
-        for name in ("tol", "cert_tol", "accept_tol", "flat_tol", "t_max", "grid_step"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise InputError(f"{name} must be finite and positive")
-        if self.max_den < 1:
-            raise InputError("max_den must be at least 1")
+    def error(self, message):
+        raise InputError(message)
+
+
+def _checked(kind, accept, requirement: str):
+    """An argparse type: the value `kind` makes of the text, if `accept` takes it."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+
+    return parse
+
+
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "must be finite and positive")
+_finite = _checked(float, math.isfinite, "must be finite")
+_positive_int = _checked(int, lambda k: k >= 1, "must be a positive integer")
+_non_negative_int = _checked(int, lambda k: k >= 0, "must be a non-negative integer")
+_emit_parts = _checked(
+    lambda text: tuple(s.strip() for s in text.split(",")),
+    lambda parts: set(parts) <= {"report", "blocks", "scan"},
+    "must be a comma list of report, blocks, scan",
+)
 
 
 def _read_input(source: str) -> str:
@@ -118,21 +133,19 @@ def _sniff_format(text: str, oriented: bool) -> str:
     return EDGE_LIST
 
 
-def _load_graph(source: str, cfg: RunConfig) -> Graph | OrientedGraph:
-    text = _read_input(source)
-    fmt = cfg.fmt or _sniff_format(text, cfg.oriented)
-    if cfg.oriented:
-        return parse_oriented_graph(text, fmt)
-    return parse_graph(text, fmt)
+def _load_graph(args) -> Graph | OrientedGraph:
+    text = _read_input(args.input)
+    fmt = args.format or _sniff_format(text, args.oriented)
+    return (parse_oriented_graph if args.oriented else parse_graph)(text, fmt)
 
 
-def _decompose(x: Graph | OrientedGraph, cfg: RunConfig):
-    if isinstance(x, OrientedGraph):
-        return decompose_oriented(x, cfg.tol)
-    return decompose_graph(x, cfg.tol)
+def _decompose(args):
+    """The input graph and its spectral decomposition, grouped under --tol."""
+    x = _load_graph(args)
+    return x, (decompose_oriented if args.oriented else decompose_graph)(x, args.tol)
 
 
-def _load_state(spec: str, n: int, cfg: RunConfig):
+def _load_state(spec: str, n: int, tol: float):
     """State spec: 'vertex:a', an inline JSON object, or '@path' to JSON."""
     if spec.startswith("vertex:"):
         try:
@@ -145,7 +158,7 @@ def _load_state(spec: str, n: int, cfg: RunConfig):
     if spec.startswith("@"):
         spec = _read_input(spec[1:])
     try:
-        state = density_from_json(spec, tol=max(cfg.tol, 1e-9))
+        state = density_from_json(spec, tol=max(tol, 1e-9))
     except (StateError, json.JSONDecodeError, ValueError) as exc:
         raise InputError(f"invalid density matrix: {exc}") from None
     if state.n != n:
@@ -158,12 +171,10 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_spectra(args) -> int:
-    cfg = _config(args)
-    x = _load_graph(args.input, cfg)
-    d = _decompose(x, cfg)
+    _, d = _decompose(args)
     doc = {
         "n": d.n,
-        "oriented": cfg.oriented,
+        "oriented": args.oriented,
         "theta": [float(t) for t in d.theta],
         "mult": list(d.mult),
         "idempotent_checksums": [
@@ -182,24 +193,16 @@ def _report_or_inconclusive(fn, *a, **kw):
     try:
         report = fn(*a, **kw)
     except ValueError as exc:
-        return None, {
-            "verdict": "inconclusive",
-            "witness_time": None,
-            "residual": 0.0,
-            "certificate": None,
-            "warnings": [f"reason: {exc}"],
-        }
+        return None, DetectionReport("inconclusive", reason=str(exc)).to_json()
     return report, report.to_json()
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config(args)
-    x = _load_graph(args.input, cfg)
-    d = _decompose(x, cfg)
-    state, vertex = _load_state(args.state, d.n, cfg)
+    x, d = _decompose(args)
+    state, vertex = _load_state(args.state, d.n, args.tol)
     doc: dict = {
         "n": d.n,
-        "oriented": cfg.oriented,
+        "oriented": args.oriented,
         "state": {
             "kind": f"vertex:{vertex}" if vertex is not None else "matrix",
             "real": state.real,
@@ -211,7 +214,7 @@ def cmd_analyze(args) -> int:
     }
     # one block decomposition serves every detector below
     blocks = block_decompose(state, d)
-    tols = (cfg.accept_tol, cfg.cert_tol, cfg.max_den)
+    tols = (args.accept_tol, args.cert_tol, args.max_den)
     periodicity, doc["periodicity"] = _report_or_inconclusive(detect_periodicity, state, d, *tols, blocks=blocks)
     _, doc["pst"] = _report_or_inconclusive(
         detect_pst, state, d, *tols, blocks=blocks, periodicity=periodicity
@@ -228,10 +231,10 @@ def cmd_analyze(args) -> int:
         doc["local_uniform_mixing"] = detect_local_uniform_mixing(
             d,
             vertex,
-            t_max=cfg.t_max,
-            flat_tol=cfg.flat_tol,
-            cert_tol=cfg.cert_tol,
-            max_den=cfg.max_den,
+            t_max=args.t_max,
+            flat_tol=args.flat_tol,
+            cert_tol=args.cert_tol,
+            max_den=args.max_den,
             blocks=blocks,
         ).to_json()
         try:
@@ -248,27 +251,26 @@ def cmd_analyze(args) -> int:
                 "consistent": bounds.consistent,
             }
     doc["uniform_mixing"] = detect_uniform_mixing(
-        d, t_max=cfg.t_max, flat_tol=cfg.flat_tol
+        d, t_max=args.t_max, flat_tol=args.flat_tol
     ).to_json()
     algebra = algebra_dimension(blocks)
     doc["algebra"] = {"dim": algebra.dim, "controllable": algebra.controllable}
     if algebra.controllable and doc["pst"]["verdict"] == "yes":
-        check = controllability_phase_check(d, doc["pst"]["witness_time"], cfg.accept_tol)
+        check = controllability_phase_check(d, doc["pst"]["witness_time"], args.accept_tol)
         doc["phase_check"] = {
             "scalar": check.scalar,
             "zeta": [check.zeta.real, check.zeta.imag],
             "root_of_unity": check.root_of_unity,
         }
-    if "blocks" in cfg.emit:
+    if "blocks" in args.emit:
         pairs, norms = np.argwhere(blocks.support).tolist(), d.group_norms(blocks.p_hat)
         doc["blocks"] = {
             "support": pairs,
             "norms": {f"{r},{s}": float(norms[r, s]) for r, s in pairs},
         }
-    if "scan" in cfg.emit:
-        h = d.source
+    if "scan" in args.emit:
         doc["oracle_return_scan"] = oracle.scan_return(
-            state.matrix, h, (0.0, cfg.t_max), cfg.grid_step
+            state.matrix, d.source, (0.0, args.t_max), args.grid_step
         ).to_json()
     _emit(doc)
     return EXIT_OK
@@ -301,41 +303,47 @@ def _vertex_block_products(d, keep: np.ndarray, a: int) -> tuple[float, float]:
     return float(products.max()), float(same.max())
 
 
-def _verify_graph_invariants(x, d, cfg: RunConfig, rng) -> list[dict]:
+def _check(name: str, residual, bound, info: bool = False, detail: str | None = None) -> dict:
+    """One row of verify's report: it passes when residual <= bound."""
+    row = {
+        "invariant": name,
+        "residual": float(residual),
+        "bound": float(bound),
+        "passed": bool(residual <= bound),
+        "informational": info,
+    }
+    if detail is not None:
+        row["detail"] = detail
+    return row
+
+
+def _verify_graph_invariants(x, d, tol: float, rng) -> list[dict]:
     checks = []
 
-    def add(name, residual, bound, info=False):
-        checks.append(
-            {
-                "invariant": name,
-                "residual": float(residual),
-                "bound": float(bound),
-                "passed": bool(residual <= bound),
-                "informational": info,
-            }
-        )
+    def add(*row, **kw):
+        checks.append(_check(*row, **kw))
 
     n = d.n
     res = d.residuals()
-    add("spectral.completeness", res["completeness"], n * cfg.tol)
-    add("spectral.orthogonality", res["orthogonality"], n * cfg.tol)
+    add("spectral.completeness", res["completeness"], n * tol)
+    add("spectral.orthogonality", res["orthogonality"], n * tol)
     add(
         "spectral.reconstruction",
         res["reconstruction"],
-        n * cfg.tol * (1.0 + np.linalg.norm(d.source)),
+        n * tol * (1.0 + np.linalg.norm(d.source)),
     )
-    add("spectral.hermitian_idempotents", res["hermitian_idempotents"], n * cfg.tol)
-    add("spectral.multiplicity", res["multiplicity"], n * cfg.tol)
+    add("spectral.hermitian_idempotents", res["hermitian_idempotents"], n * tol)
+    add("spectral.multiplicity", res["multiplicity"], n * tol)
 
     ts = rng.uniform(0.0, 10.0, size=20)
     us = [transition_matrix(d, t) for t in ts]
     unit = max(float(np.linalg.norm(u @ u.conj().T - np.eye(n))) for u in us)
-    add("walk.unitarity", unit, n * cfg.tol)
+    add("walk.unitarity", unit, n * tol)
     group = max(
         float(np.linalg.norm(transition_matrix(d, t + s) - u_t @ u_s))
         for t, s, u_t, u_s in zip(ts[:10], ts[10:], us[:10], us[10:])
     )
-    add("walk.group_law", group, n * cfg.tol)
+    add("walk.group_law", group, n * tol)
     path = max(
         float(np.linalg.norm(u - oracle.dense_expm(1j * t * d.source))) for t, u in zip(ts[:10], us)
     )
@@ -347,7 +355,7 @@ def _verify_graph_invariants(x, d, cfg: RunConfig, rng) -> list[dict]:
         t = float(rng.uniform(0.0, 10.0))
         evolved = evolve(b, t)
         add(f"state.trace_preserved[v{a}]", abs(np.trace(evolved) - 1.0), 1e-10)
-        add(f"state.hermitian_preserved[v{a}]", np.linalg.norm(evolved - evolved.conj().T), n * cfg.tol)
+        add(f"state.hermitian_preserved[v{a}]", np.linalg.norm(evolved - evolved.conj().T), n * tol)
         add(f"state.psd_preserved[v{a}]", max(0.0, -float(np.linalg.eigvalsh(evolved).min())), 1e-9)
         u = transition_matrix(d, t)
         direct = u @ state.matrix @ u.conj().T
@@ -363,44 +371,24 @@ def _verify_graph_invariants(x, d, cfg: RunConfig, rng) -> list[dict]:
     if isinstance(x, OrientedGraph):
         s_mat = skew_adjacency(x)
         add("oriented.skew_antisymmetry", np.abs(s_mat + s_mat.T).max(), 0.0)
-        add("oriented.eigenvalue_bound", max(0.0, float(np.abs(d.theta).max()) - max_valency(x)), cfg.tol)
+        add("oriented.eigenvalue_bound", max(0.0, float(np.abs(d.theta).max()) - max_valency(x)), tol)
         pairing = 0.0
         for r, theta in enumerate(d.theta):
             partner = d.idempotent(int(np.argmin(np.abs(d.theta + theta))))
             pairing = max(pairing, float(np.linalg.norm(partner - d.idempotent(r).conj())))
-        add("oriented.conjugate_idempotent_pairing", pairing, n * max(cfg.tol, 1e-9) * 10)
+        add("oriented.conjugate_idempotent_pairing", pairing, n * max(tol, 1e-9) * 10)
     return checks
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    x = _load_graph(args.input, cfg)
-    d = _decompose(x, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    checks = _verify_graph_invariants(x, d, cfg, rng)
-    if args.state:
+    x, d = _decompose(args)
+    checks = _verify_graph_invariants(x, d, args.tol, np.random.default_rng(args.seed))
+    if args.state is not None:
         try:
-            state, _ = _load_state(args.state, d.n, cfg)
-            checks.append(
-                {
-                    "invariant": "state.density_invariants",
-                    "residual": 0.0,
-                    "bound": 0.0,
-                    "passed": True,
-                    "informational": False,
-                }
-            )
+            _load_state(args.state, d.n, args.tol)
+            checks.append(_check("state.density_invariants", 0.0, 0.0))
         except InputError as exc:
-            checks.append(
-                {
-                    "invariant": "state.density_invariants",
-                    "residual": float("inf"),
-                    "bound": 0.0,
-                    "passed": False,
-                    "informational": False,
-                    "detail": str(exc),
-                }
-            )
+            checks.append(_check("state.density_invariants", np.inf, 0.0, detail=str(exc)))
     hard = [c for c in checks if not c["informational"]]
     ok = all(c["passed"] for c in hard)
     _emit({"passed": ok, "checks": checks})
@@ -408,49 +396,41 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    cfg = _config(args)
-    x = _load_graph(args.input, cfg)
-    d = _decompose(x, cfg)
-    state, _ = _load_state(args.state, d.n, cfg)
+    _, d = _decompose(args)
+    state, _ = _load_state(args.state, d.n, args.tol)
     evolved = evolve(block_decompose(state, d), args.time)
     _emit({"re": evolved.real.tolist(), "im": evolved.imag.tolist()})
     return EXIT_OK
 
 
+# the state options each scan kind reads; any other one is an input error
+_SCAN_READS = {"return": ("state",), "transfer": ("state", "target"), "flatness": ("vertex",)}
+
+
 def cmd_scan(args) -> int:
-    cfg = _config(args)
-    x = _load_graph(args.input, cfg)
-    d = _decompose(x, cfg)
-    h = d.source
-    window = (0.0, cfg.t_max)
-    if args.kind in ("return", "transfer") and not args.state:
-        raise InputError(f"{args.kind} scan needs --state")
-    if args.kind == "return":
-        state, _ = _load_state(args.state, d.n, cfg)
-        result = oracle.scan_return(state.matrix, h, window, cfg.grid_step)
-    elif args.kind == "transfer":
-        if not args.target:
-            raise InputError("transfer scan needs --target")
-        state, _ = _load_state(args.state, d.n, cfg)
-        target, _ = _load_state(args.target, d.n, cfg)
-        result = oracle.scan_transfer(state.matrix, target.matrix, h, window, cfg.grid_step)
-    elif args.kind == "flatness":
-        if args.vertex is None:
-            raise InputError("flatness scan needs --vertex")
+    for name in ("state", "target", "vertex"):
+        reads = name in _SCAN_READS[args.kind]
+        if reads == (vars(args)[name] is None):
+            raise InputError(f"{args.kind} scan {'needs' if reads else 'does not read'} --{name}")
+    _, d = _decompose(args)
+    h, window = d.source, (0.0, args.t_max)
+    if args.kind == "flatness":
         if not (0 <= args.vertex < d.n):
             raise InputError(f"vertex {args.vertex} out of range")
-        result = oracle.scan_flatness(h, args.vertex, window, cfg.grid_step)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown scan kind {args.kind}")
+        result = oracle.scan_flatness(h, args.vertex, window, args.grid_step)
+    elif args.kind == "return":
+        state, _ = _load_state(args.state, d.n, args.tol)
+        result = oracle.scan_return(state.matrix, h, window, args.grid_step)
+    else:
+        state, _ = _load_state(args.state, d.n, args.tol)
+        target, _ = _load_state(args.target, d.n, args.tol)
+        result = oracle.scan_transfer(state.matrix, target.matrix, h, window, args.grid_step)
     _emit(result.to_json())
     return EXIT_OK
 
 
 def cmd_orient(args) -> int:
-    cfg = _config(args)
-    x = _load_graph(args.input, cfg)
-    if isinstance(x, OrientedGraph):
-        raise InputError("orient expects an undirected graph")
+    x = _load_graph(args)
     parts = bipartition(x)
     if parts is None:
         raise InputError("graph is not bipartite; no natural orientation")
@@ -468,95 +448,73 @@ def cmd_orient(args) -> int:
     return EXIT_OK
 
 
-def _config(args) -> RunConfig:
-    try:
-        max_n()
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    emit = tuple(s.strip() for s in args.emit.split(",")) if getattr(args, "emit", None) else ("report",)
-    return RunConfig(
-        tol=args.tol,
-        cert_tol=args.cert_tol,
-        accept_tol=args.accept_tol,
-        flat_tol=args.flat_tol,
-        max_den=args.max_den,
-        t_max=args.t_max,
-        grid_step=args.grid_step,
-        fmt=args.format,
-        oriented=getattr(args, "oriented", False),
-        emit=emit,
-        seed=args.seed,
-    )
+def _add_command(sub, name: str, fn, help: str, decomposed: bool = True) -> argparse.ArgumentParser:
+    """A subcommand reading one graph; a decomposed one also takes --oriented and --tol."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.add_argument("input", help="graph file, or - for stdin")
+    p.add_argument("--format", choices=[EDGE_LIST, ARC_LIST, GRAPH6, JSON_FORMAT], default=None)
+    if decomposed:
+        p.add_argument("--oriented", action="store_true", help="input is an oriented graph")
+        p.add_argument("--tol", type=_positive, default=DEFAULT_GROUPING_TOL, help="eigenvalue grouping")
+    else:
+        p.set_defaults(oriented=False)
+    p.set_defaults(fn=fn)
+    return p
 
 
-def _add_common(sub: argparse.ArgumentParser, oriented_flag: bool = True) -> None:
-    sub.add_argument("input", help="graph file, or - for stdin")
-    sub.add_argument("--format", choices=[EDGE_LIST, ARC_LIST, GRAPH6, JSON_FORMAT], default=None)
-    if oriented_flag:
-        sub.add_argument("--oriented", action="store_true", help="input is an oriented graph")
-    sub.add_argument("--tol", type=float, default=DEFAULT_GROUPING_TOL)
-    sub.add_argument("--cert-tol", dest="cert_tol", type=float, default=DEFAULT_CERT_TOL)
-    sub.add_argument("--accept-tol", dest="accept_tol", type=float, default=DEFAULT_ACCEPT_TOL)
-    sub.add_argument("--flat-tol", dest="flat_tol", type=float, default=DEFAULT_FLAT_TOL)
-    sub.add_argument("--max-den", dest="max_den", type=int, default=DEFAULT_MAX_DEN)
-    sub.add_argument("--t-max", dest="t_max", type=float, default=20.0)
-    sub.add_argument("--grid-step", dest="grid_step", type=float, default=1e-3)
-    sub.add_argument("--emit", default="report", help="comma list: report,blocks,scan")
-    sub.add_argument("--seed", type=int, default=0)
+def _add_window(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--t-max", dest="t_max", type=_positive, default=20.0)
+    p.add_argument("--grid-step", dest="grid_step", type=_positive, default=1e-3, help="oracle scan step")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwalk",
         description="Analyze continuous quantum walks on graphs and oriented graphs.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectra", help="eigenvalues, multiplicities, idempotent checksums")
-    _add_common(p)
-    p.set_defaults(fn=cmd_spectra)
+    _add_command(sub, "spectra", cmd_spectra, "eigenvalues, multiplicities, idempotent checksums")
 
-    p = sub.add_parser("analyze", help="full detector bundle for one state")
-    _add_common(p)
+    p = _add_command(sub, "analyze", cmd_analyze, "full detector bundle for one state")
+    p.add_argument("--cert-tol", dest="cert_tol", type=_positive, default=DEFAULT_CERT_TOL)
+    p.add_argument("--accept-tol", dest="accept_tol", type=_positive, default=DEFAULT_ACCEPT_TOL)
+    p.add_argument("--flat-tol", dest="flat_tol", type=_positive, default=DEFAULT_FLAT_TOL)
+    p.add_argument("--max-den", dest="max_den", type=_positive_int, default=DEFAULT_MAX_DEN)
+    _add_window(p)
+    p.add_argument("--emit", type=_emit_parts, default=("report",), help="comma list: report,blocks,scan")
     p.add_argument("--state", required=True, help="vertex:a, inline JSON, or @file")
-    p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("verify", help="run the invariant suite against the input")
-    _add_common(p)
+    p = _add_command(sub, "verify", cmd_verify, "run the invariant suite against the input")
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--state", default=None, help="also validate this state")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("evolve", help="evolve a state and print the density matrix")
-    _add_common(p)
+    p = _add_command(sub, "evolve", cmd_evolve, "evolve a state and print the density matrix")
     p.add_argument("--state", required=True)
-    p.add_argument("-t", "--time", type=float, required=True)
-    p.set_defaults(fn=cmd_evolve)
+    p.add_argument("-t", "--time", type=_finite, required=True)
 
-    p = sub.add_parser("scan", help="oracle time-grid scans (dense exponential path)")
-    _add_common(p)
-    p.add_argument("--kind", choices=["return", "transfer", "flatness"], required=True)
-    p.add_argument("--state", default=None)
-    p.add_argument("--target", default=None)
-    p.add_argument("--vertex", type=int, default=None)
-    p.set_defaults(fn=cmd_scan)
+    p = _add_command(sub, "scan", cmd_scan, "oracle time-grid scans (dense exponential path)")
+    _add_window(p)
+    p.add_argument("--kind", choices=list(_SCAN_READS), required=True)
+    p.add_argument("--state", default=None, help="read by return and transfer")
+    p.add_argument("--target", default=None, help="read by transfer")
+    p.add_argument("--vertex", type=int, default=None, help="read by flatness")
 
-    p = sub.add_parser("orient", help="emit the natural orientation of a bipartite graph")
-    _add_common(p, oriented_flag=False)
-    p.add_argument(
-        "--emit-format",
-        dest="emit_format",
-        choices=[ARC_LIST, JSON_FORMAT],
-        default=JSON_FORMAT,
-    )
-    p.set_defaults(fn=cmd_orient, oriented=False)
+    p = _add_command(sub, "orient", cmd_orient, "emit the natural orientation of a bipartite graph", decomposed=False)
+    p.add_argument("--emit-format", dest="emit_format", choices=[ARC_LIST, JSON_FORMAT], default=JSON_FORMAT)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        try:
+            max_n()  # an invalid QWALK_MAX_N is an input error before any input is read
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         return args.fn(args)
     except (InputError, StateError, GraphParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ DEFAULT_ACCEPT_TOL = 1e-8
 DEFAULT_FLAT_TOL = 1e-9
 DEFAULT_MIXING_GRID = 10**5
 PGST_PAIR_CAP = 20
+PGST_PSD_TOL = 1e-9
 
 # Byte budget for one slice of a detector's coarse time grid, counted as 16
 # bytes per entry of an n x n matrix per time: one complex U(t) in the transfer
@@ -248,11 +249,7 @@ def _pruned_sign_patterns(b: BlockDecomposition, pairs, floor: float) -> np.ndar
     return np.sort(patterns)
 
 
-def pgst_candidates(
-    b: BlockDecomposition,
-    psd_tol: float = 1e-9,
-    pair_cap: int = PGST_PAIR_CAP,
-) -> list[SignPattern]:
+def pgst_candidates(b: BlockDecomposition) -> list[SignPattern]:
     """The sign patterns of all real states reachable by pretty-good transfer
     from the state b decomposes.
 
@@ -261,13 +258,15 @@ def pgst_candidates(
     sign-flip family; `sign_flipped` builds the matrix of one.  The all-plus
     pattern (the state itself) is always first.  Only the patterns that
     survive the interlacing pruning (`_pruned_sign_patterns`, with a 1e-12
-    margin for round-off) reach the exact n x n PSD test.
+    margin for round-off) reach the exact n x n PSD test, which keeps a
+    smallest eigenvalue >= -PGST_PSD_TOL.  More than PGST_PAIR_CAP support
+    pairs raise EnumerationCapExceeded.
     """
     pairs = b.off_diagonal_pairs()
-    if len(pairs) > pair_cap:
+    if len(pairs) > PGST_PAIR_CAP:
         raise EnumerationCapExceeded(len(pairs))
     d = b.decomposition
-    survivors = _pruned_sign_patterns(b, pairs, psd_tol + 1e-12)
+    survivors = _pruned_sign_patterns(b, pairs, PGST_PSD_TOL + 1e-12)
     v, placed = d.vectors, [(k, r, s) for k, (r, s) in enumerate(pairs)]
     out: list[SignPattern] = []
     chunk = max(1, _CHUNK_BYTES // (16 * b.n * b.n))
@@ -277,7 +276,7 @@ def pgst_candidates(
         batch = v @ (_sign_matrices(indices, placed, d.mult) * b.p_hat) @ v.conj().T
         batch = (batch + batch.conj().transpose(0, 2, 1)) / 2
         min_eigs = np.linalg.eigvalsh(batch)[:, 0]
-        for i in indices[min_eigs >= -psd_tol].tolist():
+        for i in indices[min_eigs >= -PGST_PSD_TOL].tolist():
             out.append(SignPattern({pair: 1 - 2 * ((i >> k) & 1) for k, pair in enumerate(pairs)}))
     return out
 

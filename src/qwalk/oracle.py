@@ -36,7 +36,10 @@ from .timescan import TIME_RESOLUTION, scan_minima
 
 MAX_EXPM_NORM = 1.0e4
 DEFAULT_STEP = 1e-3
+# a scan records the minima at or below these values: the Frobenius residual
+# of return and transfer, and the probability defect of flatness
 DEFAULT_RECORD_BELOW = 1e-7
+FLATNESS_RECORD_BELOW = 1e-8
 
 # Doubling factors U(f*step) come from squaring while f is below this and from a
 # fresh exponential from then on, since each squaring doubles a factor's
@@ -315,21 +318,12 @@ def scan_return(
     h: np.ndarray,
     window: tuple[float, float] = (0.0, 20.0),
     step: float = DEFAULT_STEP,
-    record_below: float = DEFAULT_RECORD_BELOW,
     time_resolution: float = TIME_RESOLUTION,
     max_records: int | None = None,
 ) -> ScanResult:
     """Scan ||P(t) - P||_F over the window via dense exponentials only."""
     p = np.asarray(p, dtype=complex)
-    return _scan(
-        h,
-        *_return_objective(p, p),
-        window,
-        step,
-        record_below,
-        time_resolution,
-        max_records,
-    )
+    return _scan(h, *_return_objective(p, p), window, step, DEFAULT_RECORD_BELOW, time_resolution, max_records)
 
 
 def scan_transfer(
@@ -338,22 +332,13 @@ def scan_transfer(
     h: np.ndarray,
     window: tuple[float, float] = (0.0, 20.0),
     step: float = DEFAULT_STEP,
-    record_below: float = DEFAULT_RECORD_BELOW,
     time_resolution: float = TIME_RESOLUTION,
     max_records: int | None = None,
 ) -> ScanResult:
     """Scan ||P(t) - Q||_F over the window via dense exponentials only."""
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
-    return _scan(
-        h,
-        *_return_objective(p, q),
-        window,
-        step,
-        record_below,
-        time_resolution,
-        max_records,
-    )
+    return _scan(h, *_return_objective(p, q), window, step, DEFAULT_RECORD_BELOW, time_resolution, max_records)
 
 
 def scan_flatness(
@@ -361,7 +346,6 @@ def scan_flatness(
     a: int,
     window: tuple[float, float] = (0.0, 20.0),
     step: float = DEFAULT_STEP,
-    record_below: float = 1e-8,
     time_resolution: float = TIME_RESOLUTION,
     max_records: int | None = None,
 ) -> ScanResult:
@@ -375,7 +359,7 @@ def scan_flatness(
         np.eye(h.shape[0], dtype=complex)[a],
         window,
         step,
-        record_below,
+        FLATNESS_RECORD_BELOW,
         time_resolution,
         max_records,
     )
@@ -385,12 +369,11 @@ def scan_uniform_flatness(
     h: np.ndarray,
     window: tuple[float, float] = (0.0, 20.0),
     step: float = DEFAULT_STEP,
-    record_below: float = 1e-8,
     time_resolution: float = TIME_RESOLUTION,
     max_records: int | None = None,
 ) -> ScanResult:
     """Scan the probability defect of all columns of U(t) at a common time."""
-    return _scan(h, _batch_flatness, None, window, step, record_below, time_resolution, max_records)
+    return _scan(h, _batch_flatness, None, window, step, FLATNESS_RECORD_BELOW, time_resolution, max_records)
 
 
 def evolve_dense(p: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:

@@ -53,24 +53,20 @@ class DensityMatrix:
         return {"re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()}
 
 
-def _is_rational_entrywise(m: np.ndarray, tol: float, max_den: int) -> bool:
+def _is_rational_entrywise(m: np.ndarray) -> bool:
     # a Hermitian matrix repeats most of its entries: test each value once
     values = dict.fromkeys(m.real.ravel().tolist() + m.imag.ravel().tolist())
-    return all(rational_approx(x, max_den, tol) is not None for x in values)
+    return all(rational_approx(x, RATIONAL_CLASS_MAX_DEN, RATIONAL_CLASS_TOL) is not None for x in values)
 
 
-def density_matrix(
-    m: np.ndarray,
-    tol: float = DEFAULT_STATE_TOL,
-    rational_max_den: int = RATIONAL_CLASS_MAX_DEN,
-    rational_tol: float = RATIONAL_CLASS_TOL,
-) -> DensityMatrix:
+def density_matrix(m: np.ndarray, tol: float = DEFAULT_STATE_TOL) -> DensityMatrix:
     """Validate and classify a density matrix.
 
     Raises StateError when the matrix has a non-finite entry or is not
     Hermitian, trace-1, and PSD within tol.  Classification: real (negligible
     imaginary part), pure (rank one: ||M^2 - M|| <= n*tol), rational (every
-    entry essentially equal to a fraction with denominator <= rational_max_den).
+    entry within RATIONAL_CLASS_TOL of a fraction with denominator <=
+    RATIONAL_CLASS_MAX_DEN).
     """
     m = np.asarray(m, dtype=complex)
     if not np.isfinite(m).all():
@@ -90,7 +86,7 @@ def density_matrix(
         raise StateError(f"not positive semidefinite (min eigenvalue {min_eig:g})")
     real = bool(np.abs(m.imag).max() <= tol) if n else True
     pure = bool(np.linalg.norm(hm @ hm - hm) <= n * tol)
-    rational = _is_rational_entrywise(m, rational_tol, rational_max_den)
+    rational = _is_rational_entrywise(m)
     frozen = hm.copy()
     frozen.setflags(write=False)
     return DensityMatrix(frozen, real=real, pure=pure, rational=rational, tol=tol)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -13,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwalk.cli
 from qwalk import GraphParseError, decompose_graph, decompose_oriented, parse_graph, parse_oriented_graph
@@ -643,3 +647,195 @@ def test_scipy_loads_only_for_the_oracle(k2_file):
         [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr[-500:]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a NaN time printed a matrix of NaN, which is not JSON
+        (("evolve", "--state", "vertex:0", "-t", "nan"), "argument -t/--time: must be finite, got 'nan'"),
+        (("evolve", "--state", "vertex:0", "-t", "inf"), "argument -t/--time: must be finite, got 'inf'"),
+        # numpy refused a negative seed with exit 1
+        (("verify", "--seed", "-1"), "argument --seed: must be a non-negative integer, got '-1'"),
+    ],
+)
+def test_bad_option_value_names_the_option(capsys, p3_file, argv, message):
+    code, out, err = run_cli(capsys, argv[0], p3_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
+
+
+def test_inconclusive_report_and_state_rows_keep_their_json(capsys, k2_file):
+    """A detector that refuses the state reads as an inconclusive report, and
+    verify's state row passes, or fails with the detail of the input error."""
+    state = json.dumps({"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.5], [-0.5, 0.0]]})
+    code, out, _ = run_cli(capsys, "analyze", k2_file, "--state", state)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["state"] == {"kind": "matrix", "pure": True, "rational": True, "real": False}
+    assert doc["pst"] == {
+        "certificate": None,
+        "residual": 0.0,
+        "verdict": "inconclusive",
+        "warnings": ["reason: transfer detection requires a real state"],
+        "witness_time": None,
+    }
+    code, out, _ = run_cli(capsys, "verify", k2_file, "--state", "vertex:1")
+    assert code == 0
+    assert json.loads(out)["checks"][-1] == {
+        "bound": 0.0,
+        "informational": False,
+        "invariant": "state.density_invariants",
+        "passed": True,
+        "residual": 0.0,
+    }
+    for bad in ("garbage", ""):  # an empty state is checked too, not skipped
+        code, out, _ = run_cli(capsys, "verify", k2_file, "--state", bad)
+        assert code == 1
+        assert '"residual": Infinity' in out
+        assert json.loads(out)["checks"][-1] == {
+            "bound": 0.0,
+            "detail": "invalid density matrix: Expecting value: line 1 column 1 (char 0)",
+            "informational": False,
+            "invariant": "state.density_invariants",
+            "passed": False,
+            "residual": math.inf,
+        }
+
+
+# A valid argv on P3 for each command, after the input file.
+_VALID_ARGV = {
+    "spectra": (),
+    "analyze": ("--state", "vertex:0"),
+    "verify": (),
+    "evolve": ("--state", "vertex:0", "-t", "1"),
+    "scan": ("--kind", "flatness", "--vertex", "0", "--t-max", "1"),
+    "orient": (),
+}
+# The eleven options all six commands once took, each with a valid value.
+_OLD_SHARED = {
+    "--format": ("edge-list",),
+    "--oriented": (),
+    "--tol": ("1e-9",),
+    "--cert-tol": ("1e-7",),
+    "--accept-tol": ("1e-8",),
+    "--flat-tol": ("1e-9",),
+    "--max-den": ("1000",),
+    "--t-max": ("1",),
+    "--grid-step": ("1e-3",),
+    "--emit": ("report",),
+    "--seed": ("1",),
+}
+_NOT_POSITIVE = ("-1", "0", "nan", "inf", "abc")
+_BAD_VALUES = {
+    **dict.fromkeys(["--tol", "--cert-tol", "--accept-tol", "--flat-tol", "--t-max", "--grid-step"], _NOT_POSITIVE),
+    "--max-den": (*_NOT_POSITIVE, "2.5"),
+    "--seed": ("-1", "nan", "inf", "abc", "2.5"),
+    "-t": ("nan", "inf", "abc"),
+    "--vertex": ("-1", "3", "nan", "abc"),
+}
+_READS = {
+    "spectra": ("--format", "--oriented", "--tol"),
+    "analyze": tuple(opt for opt in _OLD_SHARED if opt != "--seed"),
+    "verify": ("--format", "--oriented", "--tol", "--seed"),
+    "evolve": ("--format", "--oriented", "--tol", "-t"),
+    "scan": ("--format", "--oriented", "--tol", "--t-max", "--grid-step", "--vertex"),
+    "orient": ("--format",),
+}
+REFUSED_ARGV = [
+    # an option the command does not read
+    *[(cmd, *_VALID_ARGV[cmd], opt, *value) for cmd in _VALID_ARGV for opt, value in _OLD_SHARED.items()
+      if opt not in _READS[cmd]],
+    # a bad value of a numeric option it reads
+    *[(cmd, *_VALID_ARGV[cmd], opt, bad) for cmd, opts in _READS.items() for opt in opts
+      for bad in _BAD_VALUES.get(opt, ())],
+    ("analyze", "--state", "vertex:0", "--emit", "report,scna"),
+    # a state option the scan kind does not read
+    ("scan", "--kind", "return", "--state", "vertex:0", "--target", "vertex:1"),
+    ("scan", "--kind", "return", "--state", "vertex:0", "--vertex", "0"),
+    ("scan", "--kind", "transfer", "--state", "vertex:0", "--target", "vertex:2", "--vertex", "0"),
+    ("scan", "--kind", "flatness", "--vertex", "0", "--state", "vertex:0"),
+    ("scan", "--kind", "flatness", "--vertex", "0", "--target", "vertex:1"),
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGV, ids=[" ".join(argv) for argv in REFUSED_ARGV])
+def test_refused_option_table(capsys, p3_file, argv):
+    """Every option a command does not read and every bad value of one it
+    reads is a one-line input error, before any output."""
+    code, out, err = run_cli(capsys, argv[0], p3_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+def test_valid_argv_table_runs(capsys, p3_file):
+    """The table's base argvs, and the values it calls valid, all exit 0."""
+    for cmd, base in _VALID_ARGV.items():
+        for opt in _READS[cmd]:
+            value = _OLD_SHARED.get(opt, ("0",) if opt == "--vertex" else ("1.5",))
+            code, _, err = run_cli(capsys, cmd, p3_file, *base, opt, *value)
+            assert code == 0, (cmd, opt, err)
+
+
+# Values per option for the argv property test: valid ones, with --t-max at
+# most 2 and --grid-step at least 1e-3 so that no grid passes a few MB, and bad ones.
+_ARGV_VALUES = {
+    "--format": ("edge-list", "arc-list", "graph6", "json", "csv"),
+    "--oriented": (),
+    "--tol": ("1e-9", "1e-6", *_NOT_POSITIVE),
+    "--cert-tol": ("1e-7", "1e-3", "0"),
+    "--accept-tol": ("1e-8", "nan"),
+    "--flat-tol": ("1e-9", "1e-3", "-1"),
+    "--max-den": ("1", "1000", "0", "2.5"),
+    "--t-max": ("0.5", "2", *_NOT_POSITIVE),
+    "--grid-step": ("1e-3", "0.05", "0", "inf"),
+    "--emit": ("report", "report,blocks", "blocks,scan", "report,scna", ""),
+    "--seed": ("0", "7", "-1", "x"),
+    "--state": ("vertex:0", "vertex:2", "vertex:9", "vertex:x", '{"re": [[1, 0], [0, 0]]}', "garbage", "@missing.json"),
+    "--target": ("vertex:1", "vertex:-1", "garbage"),
+    "--vertex": ("0", "1", "-1", "7", "x"),
+    "--kind": ("return", "transfer", "flatness", "nope"),
+    "--emit-format": ("arc-list", "json", "graph6"),
+    "-t": ("0.5", "-1", "nan", "abc"),
+    "--bogus": (),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_VALID_ARGV)))
+    argv = [command, draw(st.sampled_from(["K2", "P3"]))]
+    if draw(st.booleans()):  # half the argvs start from a valid one, required options included
+        argv += _VALID_ARGV[command]
+    for opt in draw(st.lists(st.sampled_from(sorted(_ARGV_VALUES)), max_size=4)):
+        values = _ARGV_VALUES[opt]
+        argv += [opt, draw(st.sampled_from(values))] if values else [opt]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def small_graph_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "K2").write_text("0 1\n")
+    (root / "P3").write_text("0 1\n1 2\n")
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+def test_any_argv_exits_cleanly(small_graph_files, argv):
+    """Any argv over the K2 and P3 files exits 0, 1 or 2 without a
+    traceback; a nonzero exit prints one stderr line and no output, except
+    verify's report of a failed check, which goes to stdout alone."""
+    argv = [argv[0], str(small_graph_files / argv[1]), *argv[2:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 0:
+        assert out and not err
+    elif argv[0] == "verify" and code == 1 and not err:
+        assert json.loads(out)["passed"] is False
+    else:
+        assert out == "" and err.count("\n") == 1, (argv, err)
